@@ -7,7 +7,7 @@
 //      decode) and the MultiBoxSSD filter's <1% reduction, with error
 //      decreasing as tracing time grows.
 //   4. (§4.1 extensions) Optimizer-driven tiered placement: when DRAM
-//      fits, CachePlacementPass agrees with the greedy DRAM pass; when
+//      fits, the cache_tiers pass agrees with the greedy DRAM pass; when
 //      only the SSD scratch tier fits, the disk-tier cache must beat
 //      the uncached pipeline; a bottleneck scratch device must never be
 //      chosen. The tiered scenarios are exit-code gates; the estimate
@@ -212,8 +212,8 @@ double MeasureOn(const Workload& workload, const MachineSpec& machine,
   return MeasureRate(session, graph, 0.8, /*model_step_seconds=*/0, 1.6);
 }
 
-// The §4.1-extension scenarios for CachePlacementPass, exit-code gated:
-//   (a) DRAM fits -> same placement as the greedy DRAM-only CachePass;
+// The §4.1-extension scenarios for the cache_tiers pass, exit-code gated:
+//   (a) DRAM fits -> same placement as the greedy DRAM-only cache pass;
 //   (b) only the SSD scratch tier fits -> the disk-tier cache beats the
 //       uncached pipeline by >= 1.3x once warm;
 //   (c) a bottleneck scratch device (slower than the pipeline it would

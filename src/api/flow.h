@@ -131,7 +131,7 @@ class Flow {
   // Hands the pipeline to the Plumber optimizer. The Session is the
   // source of truth for the environment: machine, fs, udfs, seed, and
   // work model in `options` are overwritten from it; pass only tuning
-  // knobs (trace windows, schedule, lp_options, enable_* switches).
+  // knobs (trace windows, schedule, lp_options).
   StatusOr<OptimizedFlow> Optimize(OptimizeOptions options = {}) const;
 
   // Optimize with an explicit pass schedule, e.g.
@@ -184,7 +184,7 @@ class Flow {
 struct OptimizedFlow {
   Flow flow;                  // rewritten program, same Session
   LpPlan plan;                // last parallelism pass's LP allocation
-  CacheDecision cache;        // last cache pass's decision
+  CacheDecision cache;        // last cache or cache_tiers decision
   PrefetchDecision prefetch;  // last prefetch pass's decision
   double traced_rate = 0;     // observed rate in the final trace
   // Per-pass reports in execution order (what each scheduled pass

@@ -25,8 +25,8 @@ struct MachineSpec {
   // Local scratch tier (SSD) for disk-tier cache materialization
   // (paper §4.1 extensions). Disabled until both a bandwidth and a
   // capacity are set: scratch_bytes = 0 or scratch.max_bandwidth = 0
-  // means there is no disk tier and CachePlacementPass only considers
-  // DRAM.
+  // means there is no disk tier and the "cache_tiers" pass only
+  // considers DRAM.
   DeviceSpec scratch = DeviceSpec::Unlimited();
   uint64_t scratch_bytes = 0;
   // Host NIC (src/net). Unlimited by default, so single-host machines

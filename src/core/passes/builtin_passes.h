@@ -27,17 +27,32 @@ class PrefetchPass : public OptimizerPass {
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
 };
 
-// "cache": inserts a cache after the best cacheable node that fits the
-// machine's memory budget (paper §4.3 "Memory"); skips graphs that
-// already contain one. Honors OptimizeOptions::enumerate_caches.
+// Cache placement via PlanCache, registered under two names. Skips
+// graphs that already contain a cache of either tier.
+//   "cache": inserts a cache after the best cacheable node that fits
+//     the machine's memory budget (paper §4.3 "Memory").
+//   "cache_tiers": also offers the machine's modeled scratch device
+//     (paper §4.1 "Extensions"): memory placement when the
+//     materialization fits (then the rewrite is bit-identical to
+//     "cache"), else a disk-tier cache when the scratch tier has the
+//     capacity AND the bandwidth to serve it at least as fast as the
+//     uncached pipeline would run. Not in the default schedule; opt in
+//     via "...,cache_tiers".
 class CachePass : public OptimizerPass {
  public:
-  const char* name() const override { return "cache"; }
+  explicit CachePass(bool use_scratch = false) : use_scratch_(use_scratch) {}
+
+  const char* name() const override {
+    return use_scratch_ ? "cache_tiers" : "cache";
+  }
   // Caching frees the cores of the cached-away subtree; a re-trace +
   // re-solve redistributes them (the default schedule's trailing
   // "parallelism").
   const char* followup() const override { return "parallelism"; }
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
+
+ private:
+  bool use_scratch_;
 };
 
 // "batch": picks the execution engine's batch size (how many elements
@@ -59,25 +74,6 @@ class BatchSizePass : public OptimizerPass {
   static constexpr int kMaxEngineBatch = 64;
 
   const char* name() const override { return "batch"; }
-  StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
-};
-
-// "cache_tiers": tier-aware cache placement (paper §4.1 "Extensions").
-// Dispatches the CachePass decision across storage tiers via
-// PlanCacheTiered: in-memory placement when the materialization fits
-// the machine's memory budget (then the rewrite is bit-identical to
-// CachePass), disk placement onto the machine's modeled scratch device
-// when memory is too small but the scratch tier has the capacity AND
-// the bandwidth to serve the materialization at least as fast as the
-// uncached pipeline would run. Skips graphs that already contain a
-// cache of either tier. Not in the default schedule; opt in via
-// "...,cache_tiers".
-class CachePlacementPass : public OptimizerPass {
- public:
-  const char* name() const override { return "cache_tiers"; }
-  // Same reason as CachePass: a cache frees the cached-away subtree's
-  // cores; a re-solve redistributes them.
-  const char* followup() const override { return "parallelism"; }
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
 };
 

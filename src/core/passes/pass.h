@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/cache_tiers.h"
 #include "src/core/model.h"
 #include "src/core/planner.h"
 #include "src/core/tracer.h"
@@ -40,9 +39,8 @@ struct PassReport {
   // Typed decision payloads.
   LpPlan plan;                 // ParallelismPass
   PrefetchDecision prefetch;   // PrefetchPass
-  CacheDecision cache;         // CachePass
+  CacheDecision cache;         // CachePass ("cache" or "cache_tiers")
   int engine_batch_size = 0;   // BatchSizePass (0 = left untouched)
-  TieredCacheDecision tiered_cache;  // CachePlacementPass
   int shard_count = 0;         // ShardSourcesPass (0 = not sharded)
 };
 

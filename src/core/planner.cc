@@ -3,56 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/lp/simplex.h"
+#include "src/lp/maximin_allocator.h"
 
 namespace plumber {
-namespace {
 
-// Encodes the max-min allocation as an explicit LP and solves it with
-// simplex:  max t  s.t.  t - theta_i * R_i <= 0, sum theta <= cores,
-// theta_seq <= 1, optional t <= disk_cap.
-MaxMinSolution SolveWithSimplex(const std::vector<MaxMinStage>& stages,
-                                double cores, double disk_cap) {
-  LpProblem lp;
-  const int t = lp.AddVariable("t", /*objective=*/1.0);
-  std::vector<int> theta(stages.size(), -1);
-  std::vector<std::pair<int, double>> budget;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    const double upper = stages[i].sequential
-                             ? 1.0
-                             : std::numeric_limits<double>::infinity();
-    theta[i] = lp.AddVariable("theta:" + stages[i].name, 0.0, upper);
-    lp.AddConstraint({{t, 1.0}, {theta[i], -stages[i].rate_per_core}},
-                     ConstraintSense::kLe, 0.0, "rate:" + stages[i].name);
-    budget.push_back({theta[i], 1.0});
-  }
-  lp.AddConstraint(budget, ConstraintSense::kLe, cores, "cores");
-  if (disk_cap >= 0) {
-    lp.AddConstraint({{t, 1.0}}, ConstraintSense::kLe, disk_cap, "disk");
-  }
-  const LpSolution solution = SolveSimplex(lp);
-  MaxMinSolution out;
-  if (!solution.feasible || !solution.bounded) return out;
-  out.throughput = solution.x[t];
-  out.theta.resize(stages.size());
-  for (size_t i = 0; i < stages.size(); ++i) {
-    out.theta[i] = solution.x[theta[i]];
-    out.cores_used += out.theta[i];
-  }
-  out.core_limited = out.cores_used >= cores - 1e-6;
-  double max_theta = -1;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    if (out.theta[i] > max_theta) {
-      max_theta = out.theta[i];
-      out.bottleneck = static_cast<int>(i);
-    }
-  }
-  return out;
-}
-
-LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
-                      const PipelineModel& model,
+LpPlan PlanAllocation(const PipelineModel& model,
                       const LpPlanOptions& options) {
+  const std::vector<MaxMinStage> stages = model.LpStages();
   LpPlan plan;
   const double cores = model.machine().num_cores;
 
@@ -65,18 +22,8 @@ LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
     plan.network_bound_rate = options.network_bandwidth / network_demand;
   }
 
-  MaxMinSolution solution;
-  if (options.use_simplex) {
-    solution = SolveWithSimplex(stages, cores,
-                                options.disk_bandwidth > 0 && disk_demand > 0
-                                    ? plan.disk_bound_rate
-                                    : -1.0);
-  } else {
-    solution = SolveMaxMin(stages, cores);
-  }
-  plan.cpu_bound_rate = options.use_simplex && plan.disk_bound_rate >= 0
-                            ? SolveMaxMin(stages, cores).throughput
-                            : solution.throughput;
+  const MaxMinSolution solution = SolveMaxMin(stages, cores);
+  plan.cpu_bound_rate = solution.throughput;
   plan.cores_used = solution.cores_used;
   plan.core_limited = solution.core_limited;
   if (solution.bottleneck >= 0) {
@@ -141,14 +88,6 @@ LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
         1,
         static_cast<int>(std::ceil(options.io_curve.InverseMin(required_bw))));
   }
-  return plan;
-}
-
-}  // namespace
-
-LpPlan PlanAllocation(const PipelineModel& model,
-                      const LpPlanOptions& options) {
-  LpPlan plan = PlanFromStages(model.LpStages(), model, options);
   // Stages excluded from the LP (behind a warm cache, or negligible
   // cost) must release any parallelism a previous pass granted them:
   // their threads do no useful work at steady state but still compete
@@ -164,91 +103,60 @@ LpPlan PlanAllocation(const PipelineModel& model,
   return plan;
 }
 
-void ForEachCacheCandidate(const PipelineModel& model,
-                           const std::function<void(const NodeModel&)>& fn) {
-  for (const auto& node : model.nodes()) {
-    if (!node.cacheable || node.materialized_bytes < 0) continue;
-    fn(node);
+const char* CacheTierName(CacheTier tier) {
+  switch (tier) {
+    case CacheTier::kNone:
+      return "none";
+    case CacheTier::kMemory:
+      return "memory";
+    case CacheTier::kDisk:
+      return "disk";
   }
+  return "none";
 }
 
 CacheDecision PlanCache(const PipelineModel& model,
-                        const CachePlanOptions& options) {
+                        const CachePlanOptions& options,
+                        const LpPlanOptions& lp_options) {
   CacheDecision decision;
-  const double budget = options.memory_bytes * options.safety_factor;
-  // Candidates come root-first, so the first fitting one is closest to
-  // the root (greedy-optimal on chains).
-  ForEachCacheCandidate(model, [&](const NodeModel& node) {
+  const double memory_budget = options.memory_bytes * options.safety_factor;
+  const double scratch_budget = options.scratch_bytes * options.safety_factor;
+  const bool has_scratch =
+      options.scratch_bytes > 0 && options.scratch_read_bandwidth > 0;
+  // Disk caching must not slow the pipeline below what it would do
+  // uncached: compare against the LP's prediction for the current
+  // configuration.
+  const double uncached_rate =
+      has_scratch ? PlanAllocation(model, lp_options).predicted_rate : 0;
+  // Model order is root-first, so the first fitting candidate is the
+  // one closest to the root.
+  for (const auto& node : model.nodes()) {
+    if (!node.cacheable || node.materialized_bytes < 0) continue;
     CacheCandidate candidate;
     candidate.node = node.name;
     candidate.materialized_bytes = node.materialized_bytes;
-    candidate.fits = node.materialized_bytes <= budget;
+    CacheTier tier = CacheTier::kNone;
+    double serve_rate = 0;
+    if (node.materialized_bytes <= memory_budget) {
+      tier = CacheTier::kMemory;
+    } else if (has_scratch && node.materialized_bytes <= scratch_budget &&
+               node.visit_ratio > 0 && node.bytes_per_element > 0) {
+      // Serving the materialization re-reads visit_ratio elements of
+      // bytes_per_element for every root minibatch.
+      serve_rate = options.scratch_read_bandwidth /
+                   (node.visit_ratio * node.bytes_per_element);
+      if (serve_rate >= uncached_rate) tier = CacheTier::kDisk;
+    }
+    candidate.fits = tier != CacheTier::kNone;
     decision.candidates.push_back(candidate);
     if (candidate.fits && !decision.feasible) {
       decision.feasible = true;
+      decision.tier = tier;
       decision.node = node.name;
       decision.materialized_bytes = node.materialized_bytes;
+      if (tier == CacheTier::kDisk) decision.disk_serve_rate = serve_rate;
     }
-  });
-  return decision;
-}
-
-double PredictedRateWithCacheAt(const PipelineModel& model,
-                                const std::string& node,
-                                const LpPlanOptions& lp_options) {
-  // Free every stage at or upstream of `node`: breadth-first over the
-  // input edges from the cache point.
-  std::vector<std::string> frontier{node};
-  std::vector<std::string> freed;
-  while (!frontier.empty()) {
-    const std::string current = frontier.back();
-    frontier.pop_back();
-    freed.push_back(current);
-    const NodeModel* nm = model.Find(current);
-    if (nm == nullptr) continue;
-    for (const auto& input : nm->inputs) frontier.push_back(input);
   }
-  std::vector<MaxMinStage> stages;
-  for (MaxMinStage stage : model.LpStages()) {
-    if (std::find(freed.begin(), freed.end(), stage.name) != freed.end()) {
-      continue;
-    }
-    stages.push_back(std::move(stage));
-  }
-  LpPlanOptions opts = lp_options;
-  // A cached pipeline no longer reads from storage or the network.
-  opts.disk_bandwidth = 0;
-  opts.network_bandwidth = 0;
-  if (stages.empty()) {
-    // Everything is free: rate is bounded elsewhere (consumer).
-    return std::numeric_limits<double>::infinity();
-  }
-  return PlanFromStages(stages, model, opts).predicted_rate;
-}
-
-CacheDecision PlanCacheByEnumeration(const PipelineModel& model,
-                                     const CachePlanOptions& cache_options,
-                                     const LpPlanOptions& lp_options) {
-  CacheDecision decision;
-  const double budget =
-      cache_options.memory_bytes * cache_options.safety_factor;
-  double best_rate = -1;
-  ForEachCacheCandidate(model, [&](const NodeModel& node) {
-    CacheCandidate candidate;
-    candidate.node = node.name;
-    candidate.materialized_bytes = node.materialized_bytes;
-    candidate.fits = node.materialized_bytes <= budget;
-    decision.candidates.push_back(candidate);
-    if (!candidate.fits) return;
-    const double rate =
-        PredictedRateWithCacheAt(model, node.name, lp_options);
-    if (rate > best_rate) {
-      best_rate = rate;
-      decision.feasible = true;
-      decision.node = node.name;
-      decision.materialized_bytes = node.materialized_bytes;
-    }
-  });
   return decision;
 }
 

@@ -2,7 +2,6 @@
 // (paper §4.3 "Allocating Hardware Resources" and §4.1 "Optimizer").
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,9 +23,6 @@ struct LpPlanOptions {
   // Optional empirical parallelism -> bandwidth curve for the source
   // (fit by the I/O profiler); used to pick minimal read parallelism.
   PiecewiseLinear io_curve;
-  // Solve with the dense simplex instead of the closed form (identical
-  // results on linear pipelines; kept for generality + cross-checks).
-  bool use_simplex = false;
 };
 
 struct LpPlan {
@@ -57,50 +53,50 @@ LpPlan PlanAllocation(const PipelineModel& model,
                       const LpPlanOptions& options = {});
 
 // ---------------------------------------------------------------- cache
+// Paper §4.1 "Extensions": a disk cache reuses all caching logic up to
+// the cache decision itself, which dispatches to in-memory caching
+// preferably and to disk caching if space and disk bandwidth allow it.
+enum class CacheTier { kNone, kMemory, kDisk };
+
+const char* CacheTierName(CacheTier tier);
+
 struct CachePlanOptions {
   uint64_t memory_bytes = 0;
-  // Shrinks the usable budget to leave headroom (1.0 = use it all).
+  // Shrinks both tier budgets to leave headroom (1.0 = use it all).
   double safety_factor = 1.0;
+  // Disk tier: free capacity and sustained read bandwidth (bytes/sec)
+  // of the scratch device. 0 (the default) means there is no disk tier.
+  uint64_t scratch_bytes = 0;
+  double scratch_read_bandwidth = 0;
 };
 
 struct CacheCandidate {
   std::string node;
   double materialized_bytes = 0;
-  bool fits = false;
+  bool fits = false;  // fits some tier
 };
 
 struct CacheDecision {
   bool feasible = false;
+  CacheTier tier = CacheTier::kNone;
   std::string node;  // insert cache after this node
   double materialized_bytes = 0;
+  // For disk-tier decisions: the rate at which the scratch device can
+  // serve the materialization (minibatches/sec); 0 otherwise.
+  double disk_serve_rate = 0;
   std::vector<CacheCandidate> candidates;  // root-first, for reporting
 };
 
-// Invokes `fn` for every cache candidate — a cacheable node with a
-// traced materialized size — in model order (root-first, so the first
-// fitting candidate is the one closest to the root). The single
-// enumeration shared by PlanCache, PlanCacheByEnumeration, and
-// PlanCacheTiered: what counts as a candidate is decided once, here.
-void ForEachCacheCandidate(const PipelineModel& model,
-                           const std::function<void(const NodeModel&)>& fn);
-
-// Greedy-optimal for linear pipelines: pick the cacheable node closest
-// to the root whose materialization fits in memory (§4.3 "Memory").
+// Greedy-optimal for linear pipelines (§4.3 "Memory"): walks the
+// cacheable nodes with a traced materialized size root-first and picks
+// the first that fits a tier, memory preferred. A disk placement is
+// only taken when the scratch device can serve it at least as fast as
+// the pipeline's uncached LP rate (solved with `lp_options`, and only
+// when a scratch tier is configured) — otherwise the "cache" would
+// become the bottleneck.
 CacheDecision PlanCache(const PipelineModel& model,
-                        const CachePlanOptions& options);
-
-// General-topology variant (§4.3: boolean decision variables layered on
-// the LP): enumerates cache candidates, re-solves the allocation with
-// the cached subtree freed, and returns the candidate with the best
-// predicted rate that fits in memory. Equals PlanCache on chains.
-CacheDecision PlanCacheByEnumeration(const PipelineModel& model,
-                                     const CachePlanOptions& cache_options,
-                                     const LpPlanOptions& lp_options = {});
-
-// Predicted rate if a cache were placed after `node` (upstream freed).
-double PredictedRateWithCacheAt(const PipelineModel& model,
-                                const std::string& node,
-                                const LpPlanOptions& lp_options = {});
+                        const CachePlanOptions& options,
+                        const LpPlanOptions& lp_options = {});
 
 // ------------------------------------------------------------- prefetch
 struct PrefetchDecision {

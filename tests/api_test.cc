@@ -311,8 +311,7 @@ TEST(FlowTest, OptimizeWithRunsTheGivenScheduleAndReports) {
   ASSERT_FALSE(bogus.ok());
   EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
 
-  // An explicitly empty schedule is the no-op baseline (trace only),
-  // not the legacy-derived default schedule.
+  // An explicitly empty schedule is the no-op baseline (trace only).
   auto noop = flow.OptimizeWith("");
   ASSERT_TRUE(noop.ok()) << noop.status();
   EXPECT_TRUE(noop->pass_reports.empty());
@@ -320,6 +319,34 @@ TEST(FlowTest, OptimizeWithRunsTheGivenScheduleAndReports) {
   auto noop_graph = noop->Graph();
   ASSERT_TRUE(noop_graph.ok());
   EXPECT_EQ(noop_graph->Serialize(), flow.Graph()->Serialize());
+}
+
+TEST(FlowTest, OptimizedFlowCarriesTheCacheTiersDecision) {
+  // Nothing fits DRAM but an NVMe scratch tier is configured: the
+  // cache_tiers decision (tier included) is the public result's cache.
+  SessionOptions so;
+  so.machine = MachineSpec::SetupA();
+  so.machine.num_cores = 8;
+  so.machine.memory_bytes = 1024;
+  so.machine.scratch = DeviceSpec::NvmeSsd();
+  so.machine.scratch_bytes = 64ull << 20;
+  Session session(std::move(so));
+  ASSERT_TRUE(session.CreateRecordFiles("data/f", 4, 50, 64).ok());
+  UdfSpec slow;
+  slow.name = "slow";
+  slow.cost_ns_per_element = 200e3;
+  ASSERT_TRUE(session.RegisterUdf(slow).ok());
+  const Flow flow = session.Files("data/")
+                        .Interleave(2, 1)
+                        .Map("slow")
+                        .ShuffleAndRepeat(16)
+                        .Batch(5);
+  auto optimized =
+      flow.OptimizeWith("parallelism,prefetch,cache_tiers,parallelism");
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  EXPECT_TRUE(optimized->cache.feasible);
+  EXPECT_EQ(optimized->cache.tier, CacheTier::kDisk);
+  EXPECT_GT(optimized->cache.disk_serve_rate, 0);
 }
 
 TEST(FlowTest, RunWithWarmupReportsOnlyTheMeasuredWindow) {

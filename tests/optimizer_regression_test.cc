@@ -32,7 +32,8 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env) {
   options.fs = &env.fs;
   options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
-  options.enable_cache = false;  // isolate the parallelism pass
+  // The default schedule minus "cache": isolates the parallelism pass.
+  options.schedule = "parallelism,prefetch,parallelism";
   return options;
 }
 
@@ -87,8 +88,8 @@ TEST(OptimizerRegressionTest, BatchSizePassNeverSlowerOnCheapUdfPipeline) {
       << " naive=" << naive_rate;
 }
 
-TEST(OptimizerRegressionTest, CachePlacementPassNeverSlowerOnDiskTier) {
-  // With DRAM too small for any materialization, CachePlacementPass
+TEST(OptimizerRegressionTest, CacheTiersPassNeverSlowerOnDiskTier) {
+  // With DRAM too small for any materialization, the cache_tiers pass
   // falls back to the SSD scratch tier. Serving the repeat epochs from
   // scratch skips the 200us/element map, so the placed graph must
   // never measure slower than the misconfigured input.
@@ -101,8 +102,8 @@ TEST(OptimizerRegressionTest, CachePlacementPassNeverSlowerOnDiskTier) {
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result->tiered_cache.feasible);
-  EXPECT_EQ(result->tiered_cache.tier, CacheTier::kDisk);
+  ASSERT_TRUE(result->cache.feasible);
+  EXPECT_EQ(result->cache.tier, CacheTier::kDisk);
   ASSERT_TRUE(rewriter::HasCacheOp(result->graph));
 
   // Measure on a machine that actually meters the scratch tier.

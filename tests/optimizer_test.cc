@@ -29,7 +29,8 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env, bool cache = false) {
   options.fs = &env.fs;
   options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
-  options.enable_cache = cache;
+  options.schedule =
+      cache ? kDefaultPassSchedule : "parallelism,prefetch,parallelism";
   return options;
 }
 

@@ -1,6 +1,6 @@
-// Pass framework tests: registry contents, schedule parsing, legacy
-// flag derivation, default-schedule equivalence with the pre-framework
-// optimizer, and the BatchSizePass decision rule.
+// Pass framework tests: registry contents, schedule parsing, the
+// default schedule, default-schedule equivalence with the
+// pre-framework optimizer, and the BatchSizePass decision rule.
 #include "src/core/passes/pass_registry.h"
 
 #include <gtest/gtest.h>
@@ -102,25 +102,8 @@ TEST(PassScheduleTest, EmptyComponentIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(OptimizeOptionsTest, EffectiveScheduleMatchesLegacyFlagDerivation) {
-  OptimizeOptions options;
-  EXPECT_EQ(options.EffectiveSchedule(), kDefaultPassSchedule);
-  options.enable_cache = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism,prefetch,parallelism");
-  options.enable_prefetch = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism,parallelism");
-  options.passes = 1;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism");
-  options.enable_parallelism = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "");
-  // An explicit schedule wins over every legacy knob.
-  options.schedule = "batch";
-  EXPECT_EQ(options.EffectiveSchedule(), "batch");
-  // The "none" sentinel is the explicitly empty schedule, distinct
-  // from "" (= derive from the legacy knobs).
-  options = OptimizeOptions();
-  options.schedule = "none";
-  EXPECT_EQ(options.EffectiveSchedule(), "");
+TEST(OptimizeOptionsTest, ScheduleDefaultsToDefaultPassSchedule) {
+  EXPECT_EQ(OptimizeOptions().schedule, kDefaultPassSchedule);
 }
 
 GraphDef MisconfiguredGraph() {
@@ -153,14 +136,12 @@ TEST(PassFrameworkTest, UnknownPassInScheduleFailsBeforeTracing) {
 }
 
 TEST(PassFrameworkTest, EmptyScheduleStillTracesTheInput) {
-  // All legacy knobs disabled derives an empty schedule; the graph is
-  // returned untouched but the observed rate is still measured (the
-  // pre-framework optimizer traced even with every pass disabled).
+  // "" runs no passes; the graph is returned untouched but the
+  // observed rate is still measured (the pre-framework optimizer traced
+  // even with every pass disabled).
   PipelineTestEnv env(2, 20, 64);
   OptimizeOptions options = MakeOptions(env);
-  options.enable_parallelism = false;
-  options.enable_prefetch = false;
-  options.enable_cache = false;
+  options.schedule = "";
   PlumberOptimizer optimizer(options);
   const GraphDef input = MisconfiguredGraph();
   auto result = optimizer.Optimize(input);
@@ -272,9 +253,9 @@ const NodeDef* FindCacheNode(const GraphDef& graph) {
   return nullptr;
 }
 
-TEST(CachePlacementPassTest, MemoryPlacementMatchesCachePass) {
+TEST(CacheTiersPassTest, MemoryPlacementMatchesCachePass) {
   // When the materialization fits DRAM, cache_tiers must place the
-  // exact cache node CachePass would: same insertion point, same name,
+  // exact cache node "cache" would: same insertion point, same name,
   // and no tier attr (the memory-tier rewrite is bit-identical).
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
@@ -288,7 +269,7 @@ TEST(CachePlacementPassTest, MemoryPlacementMatchesCachePass) {
   auto legacy = PlumberOptimizer(options).Optimize(MisconfiguredGraph());
   ASSERT_TRUE(legacy.ok()) << legacy.status();
 
-  EXPECT_EQ(tiered->tiered_cache.tier, CacheTier::kMemory);
+  EXPECT_EQ(tiered->cache.tier, CacheTier::kMemory);
   const NodeDef* a = FindCacheNode(tiered->graph);
   const NodeDef* b = FindCacheNode(legacy->graph);
   ASSERT_NE(a, nullptr);
@@ -298,7 +279,7 @@ TEST(CachePlacementPassTest, MemoryPlacementMatchesCachePass) {
   EXPECT_FALSE(a->HasAttr(kAttrCacheTier));
 }
 
-TEST(CachePlacementPassTest, FallsBackToDiskUnderTightMemory) {
+TEST(CacheTiersPassTest, FallsBackToDiskUnderTightMemory) {
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
   options.machine.memory_bytes = 1024;  // nothing fits DRAM
@@ -308,15 +289,15 @@ TEST(CachePlacementPassTest, FallsBackToDiskUnderTightMemory) {
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result->tiered_cache.feasible);
-  EXPECT_EQ(result->tiered_cache.tier, CacheTier::kDisk);
-  EXPECT_GT(result->tiered_cache.disk_serve_rate, 0);
+  ASSERT_TRUE(result->cache.feasible);
+  EXPECT_EQ(result->cache.tier, CacheTier::kDisk);
+  EXPECT_GT(result->cache.disk_serve_rate, 0);
   const NodeDef* cache = FindCacheNode(result->graph);
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->GetString(kAttrCacheTier), "disk");
 }
 
-TEST(CachePlacementPassTest, SkipsWithoutAnyFittingTier) {
+TEST(CacheTiersPassTest, SkipsWithoutAnyFittingTier) {
   // Tight memory and no scratch tier: the pass reports infeasible and
   // leaves the graph cache-free instead of forcing a bad placement.
   PipelineTestEnv env(4, 50, 64);
@@ -327,7 +308,7 @@ TEST(CachePlacementPassTest, SkipsWithoutAnyFittingTier) {
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result->tiered_cache.feasible);
+  EXPECT_FALSE(result->cache.feasible);
   EXPECT_FALSE(result->pass_reports[0].changed);
   EXPECT_EQ(FindCacheNode(result->graph), nullptr);
 }
@@ -379,7 +360,7 @@ TEST(PassFrameworkTest, DefaultScheduleIgnoresPlacementPasses) {
   options.machine.scratch = DeviceSpec::NvmeSsd();
   options.machine.scratch_bytes = 64ull << 20;
   options.lp_options.disk_bandwidth = 500;
-  ASSERT_EQ(options.EffectiveSchedule(), kDefaultPassSchedule);
+  ASSERT_EQ(options.schedule, kDefaultPassSchedule);
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -396,7 +377,6 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
   // trace the graph the earlier passes rewrote, not the input.
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
-  options.enable_cache = false;
   OptimizationContext ctx(MisconfiguredGraph(), options);
   int traces = 0;
   bool saw_prefetch_root = false;

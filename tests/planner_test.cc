@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/lp/simplex.h"
 #include "src/pipeline/ops.h"
 
 namespace plumber {
@@ -94,17 +97,39 @@ TEST(LpPlanTest, CpuBoundPredictionMatchesWaterFilling) {
   EXPECT_GE(plan.parallelism.at("decode"), 10);
 }
 
+// Reference solve for the closed form: the max-min allocation encoded
+// as an explicit LP and solved with the dense simplex:
+//   max t  s.t.  t - theta_i * R_i <= 0,  sum theta <= cores,
+//   theta_seq <= 1.
+double SolveWithSimplex(const std::vector<MaxMinStage>& stages,
+                        double cores) {
+  LpProblem lp;
+  const int t = lp.AddVariable("t", /*objective=*/1.0);
+  std::vector<std::pair<int, double>> budget;
+  for (const MaxMinStage& stage : stages) {
+    const double upper = stage.sequential
+                             ? 1.0
+                             : std::numeric_limits<double>::infinity();
+    const int theta = lp.AddVariable("theta:" + stage.name, 0.0, upper);
+    lp.AddConstraint({{t, 1.0}, {theta, -stage.rate_per_core}},
+                     ConstraintSense::kLe, 0.0, "rate:" + stage.name);
+    budget.push_back({theta, 1.0});
+  }
+  lp.AddConstraint(budget, ConstraintSense::kLe, cores, "cores");
+  const LpSolution solution = SolveSimplex(lp);
+  EXPECT_TRUE(solution.feasible && solution.bounded);
+  return solution.x[t];
+}
+
 TEST(LpPlanTest, SimplexAgreesWithClosedForm) {
   const auto udfs = EmptyUdfs();
   auto model = std::move(PipelineModel::Build(StandardTrace(
                              MachineSpec::SetupA()), &udfs))
                    .value();
-  LpPlanOptions closed_opts, simplex_opts;
-  simplex_opts.use_simplex = true;
-  const LpPlan a = PlanAllocation(model, closed_opts);
-  const LpPlan b = PlanAllocation(model, simplex_opts);
-  EXPECT_NEAR(a.predicted_rate, b.predicted_rate,
-              1e-4 * a.predicted_rate);
+  const LpPlan closed = PlanAllocation(model);
+  const double simplex =
+      SolveWithSimplex(model.LpStages(), model.machine().num_cores);
+  EXPECT_NEAR(closed.predicted_rate, simplex, 1e-4 * closed.predicted_rate);
 }
 
 TEST(LpPlanTest, DiskConstraintCapsRate) {
@@ -235,32 +260,6 @@ TEST(CachePlanTest, SafetyFactorShrinksBudget) {
   const CacheDecision decision = PlanCache(model, options);
   ASSERT_TRUE(decision.feasible);
   EXPECT_EQ(decision.node, "source");
-}
-
-TEST(CachePlanTest, EnumerationAgreesOnChains) {
-  const auto udfs = CacheUdfs();
-  auto model = std::move(
-                   PipelineModel::Build(CacheTrace(MachineSpec::SetupA()),
-                                        &udfs))
-                   .value();
-  CachePlanOptions options;
-  options.memory_bytes = 1 << 20;
-  const CacheDecision greedy = PlanCache(model, options);
-  const CacheDecision enumerated = PlanCacheByEnumeration(model, options);
-  ASSERT_TRUE(greedy.feasible);
-  ASSERT_TRUE(enumerated.feasible);
-  EXPECT_EQ(greedy.node, enumerated.node);
-}
-
-TEST(CachePlanTest, PredictedRateImprovesWithCache) {
-  const auto udfs = CacheUdfs();
-  auto model = std::move(
-                   PipelineModel::Build(CacheTrace(MachineSpec::SetupA()),
-                                        &udfs))
-                   .value();
-  const double base = PlanAllocation(model).predicted_rate;
-  const double cached = PredictedRateWithCacheAt(model, "decode");
-  EXPECT_GT(cached, base);
 }
 
 // ---- Prefetch planning ----------------------------------------------
