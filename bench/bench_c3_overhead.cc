@@ -15,11 +15,12 @@ namespace {
 
 double MeasureWithTracing(const std::string& name,
                           const MachineSpec& machine, bool tracing) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload(name)).value();
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  PipelineOptions popts = env.MakePipelineOptions(machine.cpu_scale);
+  // Low-level escape hatch: the tracing toggle is per pipeline here.
+  PipelineOptions popts = session.MakePipelineOptions();
   popts.tracing_enabled = tracing;
   auto pipeline = std::move(Pipeline::Create(tuned, popts)).value();
   RunOptions ropts;

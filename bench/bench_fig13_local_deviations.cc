@@ -17,7 +17,7 @@ namespace {
 void RunSetup(const MachineSpec& machine, int steps) {
   PrintHeader("Figure 13: MultiBoxSSD one-step deviations (" +
               machine.name + ")");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload("multibox_ssd")).value();
   GraphDef graph = NaiveConfiguration(workload.graph);
   Rng rng(7);
@@ -27,16 +27,8 @@ void RunSetup(const MachineSpec& machine, int steps) {
                "deviation mb/s", "locally optimal"});
   for (int step = 0; step < steps; ++step) {
     // Trace current config.
-    auto pipeline = std::move(Pipeline::Create(
-                                  graph, env.MakePipelineOptions(
-                                             machine.cpu_scale)))
-                        .value();
-    TraceOptions topts;
-    topts.trace_seconds = 0.12;
-    topts.machine = machine;
-    const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-    pipeline->Cancel();
-    auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
+    auto model =
+        std::move(session.FromGraph(graph).Diagnose(0.12)).value();
     TunerContext ctx;
     ctx.model = &model;
     ctx.machine = machine;
@@ -53,7 +45,7 @@ void RunSetup(const MachineSpec& machine, int steps) {
       }
     }
     const double plumber_rate =
-        MeasureRate(env, *plumber_next, machine, 0.12);
+        MeasureRate(session, *plumber_next, 0.12);
 
     // Three random one-step deviations.
     double best_dev_rate = 0;
@@ -66,7 +58,7 @@ void RunSetup(const MachineSpec& machine, int steps) {
       if (p < machine.num_cores) {
         (void)rewriter::SetParallelism(&deviation, node, p + 1);
       }
-      const double rate = MeasureRate(env, deviation, machine, 0.12);
+      const double rate = MeasureRate(session, deviation, 0.12);
       if (rate > best_dev_rate) {
         best_dev_rate = rate;
         best_dev = node;

@@ -25,20 +25,11 @@ struct WorkloadCosts {
 
 WorkloadCosts LearnCosts(const std::string& name,
                          const MachineSpec& machine) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload(name)).value();
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  auto pipeline = std::move(Pipeline::Create(
-                                tuned, env.MakePipelineOptions(
-                                           machine.cpu_scale)))
-                      .value();
-  TraceOptions topts;
-  topts.trace_seconds = 0.3;
-  topts.machine = machine;
-  const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-  pipeline->Cancel();
-  auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
+  auto model = std::move(session.FromGraph(tuned).Diagnose(0.3)).value();
   WorkloadCosts costs;
   costs.disk_bytes_per_minibatch = model.DiskBytesPerMinibatch();
   costs.cpu_bound_rate = model.observed_rate();
@@ -48,11 +39,12 @@ WorkloadCosts LearnCosts(const std::string& name,
 double MeasureAtBandwidth(const std::string& name,
                           const MachineSpec& machine, double bandwidth) {
   auto workload = std::move(MakeWorkload(name)).value();
-  StorageDevice device(DeviceSpec::TokenBucketLimit(bandwidth));
-  WorkloadEnv env(&device);
+  Session session = MakeWorkloadSession(
+      machine, DeviceSpec::TokenBucketLimit(bandwidth));
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  return MeasureRate(env, tuned, machine, 0.4, 0, 0, /*warmup=*/0.15);
+  return MeasureRate(session, tuned, 0.4, /*model_step_seconds=*/0,
+                     /*warmup_seconds=*/0.15);
 }
 
 void BandwidthSweep(const std::string& name) {

@@ -25,18 +25,20 @@ using namespace plumber::bench;
 
 namespace {
 
-PipelineModel TraceWorkload(WorkloadEnv& env, const GraphDef& graph,
-                            double seconds, int64_t max_batches = 0) {
+// An early-stopped trace: Flow::Diagnose has no batch limit, so this
+// instantiates through the low-level layer on the session's options.
+PipelineModel TraceFirstBatches(Session& session, const GraphDef& graph,
+                                double seconds, int64_t max_batches) {
   auto pipeline = std::move(Pipeline::Create(
-                                graph, env.MakePipelineOptions()))
+                                graph, session.MakePipelineOptions()))
                       .value();
   TraceOptions topts;
   topts.trace_seconds = seconds;
   topts.max_batches = max_batches;
-  topts.machine = MachineSpec::SetupA();
+  topts.machine = session.machine();
   const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
   pipeline->Cancel();
-  return std::move(PipelineModel::Build(trace, &env.udfs)).value();
+  return std::move(PipelineModel::Build(trace, &session.udfs())).value();
 }
 
 void SourceSizes() {
@@ -49,13 +51,14 @@ void SourceSizes() {
            {"rcnn", "coco/train-"},
            {"transformer", "wmt17/train-"},
            {"gnmt", "wmt16/train-"}}) {
-    WorkloadEnv env;
+    Session session = MakeWorkloadSession(MachineSpec::SetupA());
     auto workload = std::move(MakeWorkload(workload_name)).value();
     const double truth =
-        static_cast<double>(DatasetBytes(env.fs, prefix));
+        static_cast<double>(DatasetBytes(session.fs(), prefix));
     // Long trace sweeps the whole (scaled) dataset at least once.
     const GraphDef tuned = HeuristicConfiguration(workload.graph, 16);
-    const PipelineModel model = TraceWorkload(env, tuned, 2.0);
+    const PipelineModel model =
+        std::move(session.FromGraph(tuned).Diagnose(2.0)).value();
     const auto est = model.EstimateSourceSizes().at(prefix);
     const double err = std::abs(est.estimated_bytes - truth) / truth;
     worst_err = std::max(worst_err, err);
@@ -75,12 +78,12 @@ void Subsampling() {
   Table table({"dataset", "batches traced", "files seen", "rel err"});
   double err_at_40 = 0;
   for (const int64_t batches : {2, 5, 10, 40}) {
-    WorkloadEnv env;
+    Session session = MakeWorkloadSession(MachineSpec::SetupA());
     auto workload = std::move(MakeWorkload("resnet18")).value();
     const double truth =
-        static_cast<double>(DatasetBytes(env.fs, "imagenet/train-"));
-    const PipelineModel model = TraceWorkload(
-        env, NaiveConfiguration(workload.graph), 5.0, batches);
+        static_cast<double>(DatasetBytes(session.fs(), "imagenet/train-"));
+    const PipelineModel model = TraceFirstBatches(
+        session, NaiveConfiguration(workload.graph), 5.0, batches);
     const auto est = model.EstimateSourceSizes().at("imagenet/train-");
     const double err = std::abs(est.estimated_bytes - truth) / truth;
     if (batches == 40) err_at_40 = err;
@@ -104,22 +107,26 @@ void Materialization() {
                "rel err", "ssd filter keep"});
   double err_at_longest = 0;
   for (const double seconds : {0.1, 0.25, 0.5, 1.5}) {
-    WorkloadEnv env;
+    Session session = MakeWorkloadSession(MachineSpec::SetupA());
     auto resnet = std::move(MakeWorkload("resnet18")).value();
     const double source_truth =
         64 * 120 * 1100.0;  // payload bytes (approx; excludes framing)
-    const PipelineModel model = TraceWorkload(
-        env, HeuristicConfiguration(resnet.graph, 16), seconds);
+    const PipelineModel model =
+        std::move(session.FromGraph(HeuristicConfiguration(resnet.graph, 16))
+                      .Diagnose(seconds))
+            .value();
     const NodeModel* decode = model.Find("decode");
     const double est = decode != nullptr ? decode->materialized_bytes : 0;
     const double truth = 6.0 * source_truth;
     const double err = std::abs(est - truth) / truth;
 
     // MultiBoxSSD filter reduction, same budget.
-    WorkloadEnv ssd_env;
+    Session ssd_session = MakeWorkloadSession(MachineSpec::SetupA());
     auto ssd = std::move(MakeWorkload("multibox_ssd")).value();
-    const PipelineModel ssd_model = TraceWorkload(
-        ssd_env, HeuristicConfiguration(ssd.graph, 16), seconds);
+    const PipelineModel ssd_model =
+        std::move(ssd_session.FromGraph(HeuristicConfiguration(ssd.graph, 16))
+                      .Diagnose(seconds))
+            .value();
     const NodeModel* filter = ssd_model.Find("filter");
     const NodeModel* ssd_decode = ssd_model.Find("decode");
     double keep = 0;
@@ -143,10 +150,12 @@ void Materialization() {
 
 void CachePlacements() {
   PrintHeader("Obs. 8: cache placement across memory budgets (resnet18)");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(MachineSpec::SetupA());
   auto workload = std::move(MakeWorkload("resnet18")).value();
-  const PipelineModel model = TraceWorkload(
-      env, HeuristicConfiguration(workload.graph, 16), 1.0);
+  const PipelineModel model =
+      std::move(session.FromGraph(HeuristicConfiguration(workload.graph, 16))
+                    .Diagnose(1.0))
+          .value();
   Table table({"memory budget", "cache decision", "materialized bytes"});
   int feasible = 0;
   for (const double mb : {0.5, 2.0, 10.0, 60.0, 120.0}) {

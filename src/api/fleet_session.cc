@@ -9,8 +9,6 @@ FleetSession::FleetSession(FleetSessionOptions options)
       env_([&] {
         SessionOptions so;
         so.seed = options_.seed;
-        so.work_model = options_.work_model;
-        so.engine_batch_size = options_.engine_batch_size;
         return so;
       }()) {
   fleet::FleetOptions fopts = options_.fleet;
@@ -19,16 +17,11 @@ FleetSession::FleetSession(FleetSessionOptions options)
   options_.hosts = fopts.hosts;
   runtime_ = std::make_unique<fleet::FleetRuntime>(
       std::move(fopts), [this](int host) {
-        // Start from the environment Session's options (filesystem,
-        // UDFs, seed, work model), then overlay the host's own
-        // hardware: its core speed and memory budget. Per-host seeds
-        // decorrelate modeled randomness across hosts.
-        PipelineOptions popts = env_.MakePipelineOptions();
-        const MachineSpec& machine = options_.hosts[host];
-        popts.cpu_scale = machine.cpu_scale;
-        popts.memory_budget_bytes = machine.memory_bytes;
-        popts.scratch = machine.scratch;
-        popts.scratch_budget_bytes = machine.scratch_bytes;
+        // The environment Session's options (filesystem, UDFs, work
+        // model) on the host's own hardware. Per-host seeds decorrelate
+        // modeled randomness across hosts.
+        PipelineOptions popts =
+            ForMachine(env_.MakePipelineOptions(), options_.hosts[host]);
         popts.seed = options_.seed + static_cast<uint64_t>(host);
         return popts;
       });

@@ -3,8 +3,9 @@
 // A FleetSession is to FleetRuntime what Session is to Executor: it
 // owns the shared environment (one Session supplies the simulated
 // filesystem, UDF registry, seed, and work model for every host) and
-// wires a per-host PipelineOptions factory that overrides cpu_scale
-// and the memory budget from each host's own MachineSpec, so a
+// wires a per-host PipelineOptions factory: the environment Session's
+// options on the host's own MachineSpec (ForMachine: core speed,
+// memory budget, scratch tier) with a per-host seed, so a
 // heterogeneous fleet models heterogeneous hardware while serving one
 // program namespace.
 //
@@ -37,9 +38,8 @@ struct FleetSessionOptions {
   // Dispatch policy, stealing, per-host concurrency (hosts above wins
   // over fleet.hosts).
   fleet::FleetOptions fleet;
+  // Environment seed; host i's pipelines run with seed + i.
   uint64_t seed = 42;
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
-  int engine_batch_size = 0;
 };
 
 class FleetSession {

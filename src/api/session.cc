@@ -5,47 +5,43 @@
 namespace plumber {
 namespace internal {
 
+namespace {
+
+// The machine pipelines and plans are sized for: the memory cap bounds
+// the planning budget and the runtime cache budget alike, so the
+// optimizer never plans a cache the runtime budget would reject.
+MachineSpec BudgetedMachine(const SessionOptions& so) {
+  MachineSpec machine = so.machine;
+  if (so.memory_budget_bytes > 0) {
+    machine.memory_bytes = so.memory_budget_bytes;
+  }
+  return machine;
+}
+
+}  // namespace
+
 PipelineOptions MakePipelineOptions(SessionState& state) {
   const SessionOptions& so = state.options;
-  PipelineOptions popts;
-  popts.fs = &state.fs;
-  popts.udfs = &state.udfs;
-  popts.cpu_scale = so.machine.cpu_scale;
-  popts.work_model = so.work_model;
-  popts.seed = so.seed;
-  popts.tracing_enabled = so.tracing_enabled;
-  popts.memory_budget_bytes = so.memory_budget_bytes > 0
-                                  ? so.memory_budget_bytes
-                                  : so.machine.memory_bytes;
-  popts.engine_batch_size = so.engine_batch_size;
-  popts.scratch = so.machine.scratch;
-  popts.scratch_budget_bytes = so.machine.scratch_bytes;
-  popts.nic = state.nic.get();
-  return popts;
+  PipelineOptions env;
+  env.fs = &state.fs;
+  env.udfs = &state.udfs;
+  env.work_model = so.work_model;
+  env.seed = so.seed;
+  env.tracing_enabled = so.tracing_enabled;
+  env.engine_batch_size = so.engine_batch_size;
+  env.nic = state.nic.get();
+  return ForMachine(std::move(env), BudgetedMachine(so));
 }
 
 void ApplyEnvironment(SessionState& state, OptimizeOptions* options) {
-  const SessionOptions& so = state.options;
-  options->machine = so.machine;
-  // The memory cap bounds the planning budget too, so the optimizer
-  // never plans a cache the runtime budget would reject.
-  if (so.memory_budget_bytes > 0) {
-    options->machine.memory_bytes = so.memory_budget_bytes;
-  }
-  options->fs = &state.fs;
-  options->udfs = &state.udfs;
-  options->seed = so.seed;
-  options->work_model = so.work_model;
-  // Unlike the true environment fields above, an explicit per-call
-  // engine_batch_size is a tuning knob and wins over the session's.
-  if (options->engine_batch_size <= 0) {
-    options->engine_batch_size = so.engine_batch_size;
-  }
+  options->machine = BudgetedMachine(state.options);
+  options->pipeline = MakePipelineOptions(state);
   // The planner's network constraint defaults to the machine's NIC so
   // attaching one device keeps runtime metering and planning aligned;
   // an explicit per-call bandwidth wins.
   if (options->lp_options.network_bandwidth <= 0) {
-    options->lp_options.network_bandwidth = so.machine.nic.max_bandwidth;
+    options->lp_options.network_bandwidth =
+        state.options.machine.nic.max_bandwidth;
   }
 }
 

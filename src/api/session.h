@@ -2,11 +2,14 @@
 //
 // A Session owns everything a pipeline needs to exist — the simulated
 // filesystem (optionally backed by an owned StorageDevice), the UDF
-// registry, the MachineSpec being modeled, the seed, and the CPU work
-// model — and is the one source of truth for all of them: Flow::Run and
-// Flow::Optimize derive their PipelineOptions/OptimizeOptions from the
-// Session, so cpu_scale/seed/memory can no longer be wired twice and
-// drift (formerly: MachineSpec vs PipelineOptions vs OptimizeOptions).
+// registry, the MachineSpec being modeled, the host NIC, the seed, and
+// the CPU work model — and is the one source of truth for all of them.
+// MakePipelineOptions derives the instantiation options of every
+// pipeline built from the session (Flow::Run, Flow::Trace, and the
+// optimizer's traces via ApplyTo, which hands them to OptimizeOptions
+// wholesale); the machine-derived fields come from ForMachine
+// (src/core/machine.h), the one mapping from a MachineSpec to
+// PipelineOptions.
 //
 //   Session session;
 //   session.machine().num_cores = 8;
@@ -16,8 +19,9 @@
 //                   .ShuffleAndRepeat(128).Batch(32);
 //
 // The GraphBuilder + PipelineOptions + Pipeline::Create layer remains
-// public underneath for tooling that needs manual control; FromGraph()
-// bridges a hand-built GraphDef into the Session world.
+// public underneath for tooling that needs manual control (start from
+// MakePipelineOptions() so the environment stays the session's);
+// FromGraph() bridges a hand-built GraphDef into the Session world.
 #pragma once
 
 #include <array>
@@ -53,7 +57,6 @@ struct SessionOptions {
   // "batch" pass may autotune it. 1 = explicitly element-at-a-time
   // (identical results, classic engine; the batch pass respects it);
   // larger amortizes queue/lock overhead for cheap UDFs.
-  // RunOptions.engine_batch_size overrides per run.
   int engine_batch_size = 0;
   // Jobs the session's executor runs concurrently; 0 = unlimited
   // (every Submit is admitted immediately and the maximin arbiter
@@ -94,10 +97,12 @@ struct SessionState {
 };
 
 // The only place the unified API turns session state into
-// PipelineOptions. (Non-const: pipelines mutate the filesystem.)
+// PipelineOptions: the environment on the machine after the memory cap
+// (ForMachine). (Non-const: pipelines mutate the filesystem.)
 PipelineOptions MakePipelineOptions(SessionState& state);
-// Overwrites the environment half of OptimizeOptions (machine, fs,
-// udfs, seed, work model, memory cap) from the session state.
+// Overwrites the environment half of OptimizeOptions (machine after
+// the memory cap, and `pipeline` = MakePipelineOptions) from the
+// session state.
 void ApplyEnvironment(SessionState& state, OptimizeOptions* options);
 // The session's executor, lazily created (thread-safe).
 runtime::Executor& GetExecutor(SessionState& state);
@@ -177,8 +182,8 @@ class Session {
   PipelineOptions MakePipelineOptions() const {
     return internal::MakePipelineOptions(*state_);
   }
-  // Fills the environment half of OptimizeOptions from the session,
-  // keeping the tuning knobs.
+  // Fills the environment half of OptimizeOptions (machine, pipeline)
+  // from the session, keeping the tuning knobs.
   void ApplyTo(OptimizeOptions* options) {
     internal::ApplyEnvironment(*state_, options);
   }

@@ -12,6 +12,7 @@
 
 #include "src/io/storage_device.h"
 #include "src/net/network_device.h"
+#include "src/pipeline/pipeline.h"
 
 namespace plumber {
 
@@ -69,6 +70,20 @@ inline MachineSpec MachineSpec::SetupC(double byte_scale) {
   m.memory_bytes = static_cast<uint64_t>(300e9 * byte_scale);
   m.cpu_scale = 1.0;
   return m;
+}
+
+// The one mapping from a modeled machine to the instantiation options
+// of a pipeline running on it: overlays the machine-derived fields
+// (core speed, cache budget, scratch tier) onto `env`, which carries
+// the rest of the environment (filesystem, UDFs, seed, work model,
+// engine batch size, NIC).
+inline PipelineOptions ForMachine(PipelineOptions env,
+                                  const MachineSpec& machine) {
+  env.cpu_scale = machine.cpu_scale;
+  env.memory_budget_bytes = machine.memory_bytes;
+  env.scratch = machine.scratch;
+  env.scratch_budget_bytes = machine.scratch_bytes;
+  return env;
 }
 
 }  // namespace plumber

@@ -65,7 +65,10 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
     model.nodes_.push_back(std::move(node));
   }
 
-  // Pass 2 (root-down): visit ratios and CPU rates.
+  // Pass 2 (root-down): visit ratios and CPU rates. The visit ratio is
+  // operational analysis's recurrence (Denning & Buzen 1978):
+  // V_i = (C_i / C_parent) * V_parent with V_root = 1, which converts a
+  // node's completions into root units (minibatches).
   for (auto& node : model.nodes_) {
     if (node.name == trace.graph.output()) {
       node.visit_ratio = 1.0;

@@ -8,28 +8,8 @@
 
 namespace plumber {
 
-PipelineOptions OptimizeOptions::MakePipelineOptions() const {
-  PipelineOptions popts;
-  popts.fs = fs;
-  popts.udfs = udfs;
-  popts.cpu_scale = machine.cpu_scale;
-  popts.work_model = work_model;
-  popts.seed = seed;
-  popts.tracing_enabled = true;
-  popts.memory_budget_bytes = machine.memory_bytes;
-  popts.engine_batch_size = engine_batch_size;
-  popts.scratch = machine.scratch;
-  popts.scratch_budget_bytes = machine.scratch_bytes;
-  return popts;
-}
-
 PlumberOptimizer::PlumberOptimizer(OptimizeOptions options)
     : options_(std::move(options)) {}
-
-StatusOr<std::unique_ptr<Pipeline>> PlumberOptimizer::MakePipeline(
-    GraphDef graph) const {
-  return Pipeline::Create(std::move(graph), options_.MakePipelineOptions());
-}
 
 StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     const GraphDef& input) const {
@@ -122,7 +102,8 @@ StatusOr<OptimizeResult> PlumberOptimizer::PickBest(
       continue;
     }
     // Evaluate the optimized variant under a benchmark run.
-    auto pipeline_or = MakePipeline(result_or->graph);
+    auto pipeline_or =
+        Pipeline::Create(result_or->graph, OptimizerPipelineOptions(options_));
     if (!pipeline_or.ok()) {
       record_failure(i, "instantiation", pipeline_or.status());
       continue;

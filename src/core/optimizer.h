@@ -26,24 +26,14 @@ namespace plumber {
 
 struct OptimizeOptions {
   MachineSpec machine;
-  // Execution environment. The optimizer derives the PipelineOptions
-  // for every pipeline it instantiates from these fields plus `machine`
-  // in exactly one place (MakePipelineOptions below), so cpu_scale,
-  // seed, and the memory budget cannot diverge between the traced
-  // pipeline and the planned machine.
-  SimFilesystem* fs = nullptr;
-  const UdfRegistry* udfs = nullptr;
-  uint64_t seed = 42;
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
-  // Engine batch size for every pipeline the optimizer instantiates
-  // (traces and evaluations), so it measures the same engine the tuned
-  // pipeline will run on. 0 = inherit the Session's value when going
-  // through Flow::Optimize / Session::OptimizeBest (and behave as 1 —
-  // element-at-a-time — when the optimizer is driven directly); >0 is
-  // an explicit override that ApplyEnvironment leaves alone and the
-  // "batch" autotuning pass respects (it only tunes the unset
-  // default). See PipelineOptions::engine_batch_size.
-  int engine_batch_size = 0;
+  // Environment of every pipeline the optimizer instantiates (traces
+  // and PickBest evaluations): filesystem, UDFs, seed, work model, NIC
+  // and engine batch size. Session::ApplyTo fills it wholesale from the
+  // session. The machine-derived fields are overlaid from `machine`
+  // (ForMachine) and tracing is forced on, so the traced pipeline runs
+  // on the machine being planned for. An explicit engine batch size
+  // (> 0) here is a choice the "batch" autotuning pass respects.
+  PipelineOptions pipeline;
   double trace_seconds = 0.3;
   // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism,batch"
   // (names resolved through PassRegistry::Global()). "" runs no passes:
@@ -60,10 +50,6 @@ struct OptimizeOptions {
   // Cache-fill window before a steady-state re-trace of a pipeline
   // with an injected cache (§B truncation trick).
   double cache_warmup_seconds = 0.4;
-
-  // The single place instantiation options are derived from the
-  // machine + environment (tracing on, cache budget = machine memory).
-  PipelineOptions MakePipelineOptions() const;
 };
 
 struct OptimizeResult {
@@ -93,8 +79,6 @@ class PlumberOptimizer {
       const std::vector<GraphDef>& variants) const;
 
  private:
-  StatusOr<std::unique_ptr<Pipeline>> MakePipeline(GraphDef graph) const;
-
   OptimizeOptions options_;
 };
 

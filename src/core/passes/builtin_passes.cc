@@ -96,9 +96,10 @@ StatusOr<PassReport> BatchSizePass::Run(OptimizationContext& ctx) const {
   report.pass = name();
   // > 0 is an explicit user choice — including 1, the classic
   // element-at-a-time engine; only the unset default (0) is autotuned.
-  if (ctx.options().engine_batch_size > 0) {
+  const int explicit_batch = ctx.options().pipeline.engine_batch_size;
+  if (explicit_batch > 0) {
     report.summary = "explicit engine_batch_size=" +
-                     std::to_string(ctx.options().engine_batch_size) +
+                     std::to_string(explicit_batch) +
                      " set; autotune skipped";
     return report;
   }
@@ -232,8 +233,8 @@ StatusOr<PassReport> ShardSourcesPass::Run(OptimizationContext& ctx) const {
   // Round-robin partitioning caps useful shards at the file count: a
   // shard with no files is a worker thread spinning on an empty list.
   int num_files = kMaxShards;
-  if (ctx.options().fs != nullptr) {
-    num_files = static_cast<int>(ctx.options().fs->List(prefix).size());
+  if (const SimFilesystem* fs = ctx.options().pipeline.fs; fs != nullptr) {
+    num_files = static_cast<int>(fs->List(prefix).size());
   }
   if (num_files < 2) {
     report.summary = "fewer than 2 source files; cannot shard";

@@ -5,12 +5,18 @@
 
 namespace plumber {
 
+PipelineOptions OptimizerPipelineOptions(const OptimizeOptions& options) {
+  PipelineOptions popts = ForMachine(options.pipeline, options.machine);
+  popts.tracing_enabled = true;
+  return popts;
+}
+
 OptimizationContext::OptimizationContext(GraphDef graph,
                                          const OptimizeOptions& options)
     : options_(&options), graph_(std::move(graph)) {
   hook_ = [this](const GraphDef& g) -> StatusOr<TraceSnapshot> {
     ASSIGN_OR_RETURN(auto pipeline,
-                     Pipeline::Create(g, options_->MakePipelineOptions()));
+                     Pipeline::Create(g, OptimizerPipelineOptions(*options_)));
     TraceOptions topts;
     topts.trace_seconds = options_->trace_seconds;
     topts.machine = options_->machine;
@@ -31,7 +37,7 @@ OptimizationContext::OptimizationContext(GraphDef graph,
 Status OptimizationContext::Retrace() {
   ASSIGN_OR_RETURN(trace_, hook_(graph_));
   ASSIGN_OR_RETURN(PipelineModel model,
-                   PipelineModel::Build(trace_, options_->udfs));
+                   PipelineModel::Build(trace_, options_->pipeline.udfs));
   model_.emplace(std::move(model));
   last_traced_rate_ = model_->observed_rate();
   graph_changed_ = false;

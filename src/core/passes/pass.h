@@ -24,6 +24,10 @@ namespace plumber {
 
 struct OptimizeOptions;
 
+// Instantiation options of every pipeline the optimizer builds: the
+// options' environment on its machine (ForMachine), tracing on.
+PipelineOptions OptimizerPipelineOptions(const OptimizeOptions& options);
+
 // What one pass did: a human-readable summary plus the typed decision
 // the pass produced (only the producing pass fills its field). Consumed
 // by OptimizeResult::pass_reports, diagnose tooling, and the ablation
@@ -55,7 +59,7 @@ class OptimizationContext {
 
   // `options` must outlive the context (PlumberOptimizer owns both).
   // The default re-trace hook instantiates the graph with
-  // options.MakePipelineOptions() and captures a bounded trace,
+  // OptimizerPipelineOptions(options) and captures a bounded trace,
   // reproducing the cache-steady-state semantics of the pre-framework
   // optimizer: once the graph contains a cache, re-traces warm it for
   // options.cache_warmup_seconds and freeze it (§B truncation trick) so

@@ -390,8 +390,9 @@ TEST(SessionTest, MemoryBudgetOverrideBoundsOptimizerPlanning) {
   OptimizeOptions oopts;
   session.ApplyTo(&oopts);
   EXPECT_EQ(oopts.machine.memory_bytes, 1u << 20);
-  EXPECT_EQ(oopts.MakePipelineOptions().memory_budget_bytes, 1u << 20);
+  EXPECT_EQ(oopts.pipeline.memory_budget_bytes, 1u << 20);
   EXPECT_EQ(session.MakePipelineOptions().memory_budget_bytes, 1u << 20);
+  EXPECT_EQ(OptimizerPipelineOptions(oopts).memory_budget_bytes, 1u << 20);
 }
 
 TEST(SessionTest, IsTheSingleSourceOfTruthForEnvironment) {
@@ -412,21 +413,29 @@ TEST(SessionTest, IsTheSingleSourceOfTruthForEnvironment) {
   EXPECT_EQ(popts.memory_budget_bytes, 123u);
 
   // Environment fields of OptimizeOptions are overwritten wholesale.
+  session.AttachNic(NicSpec::Unlimited());
   OptimizeOptions oopts;
-  oopts.seed = 999;
+  oopts.pipeline.seed = 999;
   oopts.machine.cpu_scale = 9.0;
   oopts.trace_seconds = 0.125;  // tuning knob: preserved
   session.ApplyTo(&oopts);
-  EXPECT_EQ(oopts.fs, &session.fs());
-  EXPECT_EQ(oopts.udfs, &session.udfs());
-  EXPECT_EQ(oopts.seed, 7u);
+  const PipelineOptions env = session.MakePipelineOptions();
+  EXPECT_EQ(oopts.pipeline.fs, env.fs);
+  EXPECT_EQ(oopts.pipeline.udfs, env.udfs);
+  EXPECT_EQ(oopts.pipeline.seed, env.seed);
+  EXPECT_EQ(oopts.pipeline.work_model, env.work_model);
+  EXPECT_EQ(oopts.pipeline.memory_budget_bytes, env.memory_budget_bytes);
+  EXPECT_EQ(oopts.pipeline.nic, env.nic);
+  EXPECT_EQ(oopts.pipeline.seed, 7u);
+  EXPECT_EQ(oopts.pipeline.nic, session.nic());
   EXPECT_EQ(oopts.machine.cpu_scale, 1.5);
   EXPECT_EQ(oopts.trace_seconds, 0.125);
-  // And the optimizer derives PipelineOptions from those in one place.
-  const PipelineOptions derived = oopts.MakePipelineOptions();
+  // And the optimizer's pipelines run on that environment and machine.
+  const PipelineOptions derived = OptimizerPipelineOptions(oopts);
   EXPECT_EQ(derived.cpu_scale, 1.5);
   EXPECT_EQ(derived.seed, 7u);
   EXPECT_EQ(derived.memory_budget_bytes, 123u);
+  EXPECT_EQ(derived.nic, session.nic());
 }
 
 }  // namespace

@@ -340,21 +340,19 @@ TEST(EngineBatchTest, SessionKnobAndRunOverrideProduceSameResults) {
     decode.size_ratio = 2.0;
     ASSERT_TRUE(session->RegisterUdf(decode).ok());
   }
-  auto run = [](Session& session, int run_override) {
+  auto run = [](Session& session) {
     Flow flow = session.Files("train/")
                     .Interleave(2)
                     .Map("decode", 4)
                     .Batch(10);
     RunOptions window;
     window.max_batches = 20;
-    window.engine_batch_size = run_override;
     auto report = flow.Run(window);
     EXPECT_TRUE(report.ok()) << report.status();
     return report.ok() ? report->elements : 0;
   };
-  const int64_t base = run(make_session, 0);
-  EXPECT_EQ(base, run(batched_session, 0));   // session-level knob
-  EXPECT_EQ(base, run(make_session, 16));     // per-run override
+  const int64_t base = run(make_session);
+  EXPECT_EQ(base, run(batched_session));  // session-level knob
   EXPECT_GT(base, 0);
 }
 

@@ -521,8 +521,7 @@ TEST(MultiJobPlannerTest, OptimizerStampsTracedRatesOnRealSchedule) {
   // by passes_test) and therefore unstamped.
   PipelineTestEnv env;
   OptimizeOptions options;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.schedule = "parallelism";
   options.trace_seconds = 0.05;
   PlumberOptimizer optimizer(options);

@@ -147,8 +147,7 @@ TEST(FailureInjectionTest, OptimizerSurvivesUntraceablePipeline) {
 
   OptimizeOptions options;
   options.machine = MachineSpec::SetupA();
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.05;
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(graph);

@@ -29,8 +29,7 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env) {
   OptimizeOptions options;
   options.machine = MachineSpec::SetupA();
   options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.25;
   // The default schedule minus "cache": isolates the parallelism pass.
   options.schedule = "parallelism,prefetch,parallelism";

@@ -26,8 +26,7 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env, bool cache = false) {
   OptimizeOptions options;
   options.machine = MachineSpec::SetupA();
   options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.25;
   options.schedule =
       cache ? kDefaultPassSchedule : "parallelism,prefetch,parallelism";

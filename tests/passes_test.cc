@@ -119,8 +119,7 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env) {
   OptimizeOptions options;
   options.machine = MachineSpec::SetupA();
   options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.2;
   return options;
 }
@@ -236,7 +235,7 @@ TEST(BatchSizePassTest, RespectsExplicitEngineBatchSize) {
   for (int explicit_batch : {1, 16}) {
     OptimizeOptions options = MakeOptions(env);
     options.schedule = "batch";
-    options.engine_batch_size = explicit_batch;
+    options.pipeline.engine_batch_size = explicit_batch;
     PlumberOptimizer optimizer(options);
     auto result = optimizer.Optimize(CheapUdfGraph(8));
     ASSERT_TRUE(result.ok()) << result.status();
@@ -386,8 +385,9 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
         saw_prefetch_root =
             g.FindNode(g.output()) != nullptr &&
             g.FindNode(g.output())->op == "prefetch";
-        ASSIGN_OR_RETURN(auto pipeline,
-                         Pipeline::Create(g, options.MakePipelineOptions()));
+        ASSIGN_OR_RETURN(
+            auto pipeline,
+            Pipeline::Create(g, OptimizerPipelineOptions(options)));
         TraceOptions topts;
         topts.trace_seconds = 0.1;
         topts.machine = options.machine;

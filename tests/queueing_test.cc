@@ -1,32 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "src/queueing/mm1k.h"
-#include "src/queueing/operational.h"
 
 namespace plumber {
 namespace {
-
-TEST(OperationalTest, VisitRatioRecurrence) {
-  // Root V=1; child completing 128x more often has V=128.
-  EXPECT_DOUBLE_EQ(VisitRatio(128, 1, 1.0), 128.0);
-  // Grandchild completing at half the child's rate: V = 64.
-  EXPECT_DOUBLE_EQ(VisitRatio(64, 128, 128.0), 64.0);
-  EXPECT_DOUBLE_EQ(VisitRatio(10, 0, 1.0), 0.0);
-}
-
-TEST(OperationalTest, UtilizationLaw) {
-  EXPECT_DOUBLE_EQ(UtilizationLaw(30.0, 0.02), 0.6);
-}
-
-TEST(OperationalTest, BottleneckBound) {
-  EXPECT_DOUBLE_EQ(BottleneckBound({0.1, 0.5, 0.25}), 2.0);
-  EXPECT_DOUBLE_EQ(BottleneckBound({}), 0.0);
-}
-
-TEST(OperationalTest, ResponseTimeBound) {
-  EXPECT_DOUBLE_EQ(ResponseTimeBound(1.0, 0.5, 10, 2.0), 3.0);
-  EXPECT_DOUBLE_EQ(ResponseTimeBound(1.0, 0.05, 10, 2.0), 1.0);
-}
 
 TEST(Mm1kTest, ProbabilitiesSumToOne) {
   for (double rho : {0.2, 0.8, 1.0, 1.5}) {

@@ -1,7 +1,7 @@
 // remote_read op tests: element-for-element identity with a local
 // tfrecord read at every engine batch size, byte-exact NIC accounting
 // (wire bytes == device counters == per-node network_bytes stats), and
-// the Session::AttachNic wiring.
+// the Session::AttachNic wiring (runs and optimizer traces).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -126,6 +126,24 @@ TEST(RemoteReadTest, SessionAttachNicMetersAcrossRuns) {
   // host NIC counter would.
   ASSERT_TRUE(flow.Run(run).ok());
   EXPECT_EQ(session.nic()->total_bytes(), 2 * per_run);
+}
+
+TEST(RemoteReadTest, SessionNicMetersOptimizerTraces) {
+  // The optimizer's traces run on the session's environment, NIC
+  // included, so tracing a remote read charges the session device the
+  // same way Flow::Run does.
+  Session session;
+  ASSERT_TRUE(session
+                  .CreateRecordFiles("data/f", kNumFiles, kRecordsPerFile,
+                                     kRecordBytes)
+                  .ok());
+  session.AttachNic(NicSpec::Unlimited());
+  OptimizeOptions options;
+  options.trace_seconds = 0.05;
+  auto optimized =
+      session.FromGraph(RemoteGraph()).OptimizeWith("parallelism", options);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  EXPECT_GT(session.nic()->total_bytes(), 0u);
 }
 
 }  // namespace

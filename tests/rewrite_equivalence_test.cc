@@ -101,8 +101,7 @@ TEST(RewriteEquivalenceTest, FullOptimizerPreservesSemantics) {
   options.machine = MachineSpec::SetupA();
   options.machine.num_cores = 8;
   options.machine.memory_bytes = 10 << 20;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.15;
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(FiniteGraph());
@@ -151,8 +150,7 @@ TEST(RewriteEquivalenceTest, PassOrderPermutationsPreserveSemantics) {
     options.machine = MachineSpec::SetupA();
     options.machine.num_cores = 8;
     options.machine.memory_bytes = 10 << 20;
-    options.fs = &env.fs;
-    options.udfs = &env.udfs;
+    options.pipeline = env.Options();
     options.trace_seconds = 0.15;
     options.schedule = schedule;
     PlumberOptimizer optimizer(options);
@@ -192,8 +190,7 @@ TEST(RewriteEquivalenceTest, PlacementScheduleDropInsPreserveSemantics) {
     options.machine.scratch = DeviceSpec::NvmeSsd();
     options.machine.scratch_bytes = 64ull << 20;
     options.lp_options.disk_bandwidth = 500;
-    options.fs = &env.fs;
-    options.udfs = &env.udfs;
+    options.pipeline = env.Options();
     options.trace_seconds = 0.15;
     options.schedule = schedule;
     PlumberOptimizer optimizer(options);

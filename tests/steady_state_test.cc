@@ -147,8 +147,7 @@ TEST(SteadyStateTest, OptimizerReleasesCoresBehindCache) {
   options.machine = MachineSpec::SetupA();
   options.machine.num_cores = 8;
   options.machine.memory_bytes = 10 << 20;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
+  options.pipeline = env.Options();
   options.trace_seconds = 0.2;
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(graph);
