@@ -6,10 +6,14 @@
 // GraphDef only helps the next instantiation. The governor is the
 // channel: the executor publishes a per-node worker target with
 // SetTarget, and a running iterator that registered a resize listener
-// (today: the parallel map, where modeled UDF cost — and therefore the
-// LP's core demand — concentrates) grows or parks its worker pool in
-// place. Other parallel ops (interleave, map_and_batch) pick their
-// grant up at the next instantiation via ApplyParallelismPlan.
+// grows or parks its worker pool in place. The parallel map and the
+// parallel interleave register (their WorkerPool is governed; see
+// src/pipeline/worker_pool.h): the map is where modeled UDF cost — and
+// therefore the LP's core demand — concentrates, and the interleave's
+// reader count sets I/O parallelism. map_and_batch picks its grant up
+// at the next instantiation via ApplyParallelismPlan; shard_merge
+// (one worker per shard) and prefetch (one fill thread) have no
+// tunable worker count.
 //
 // A target also survives re-instantiation: iterators created later
 // (e.g. per-epoch children under `repeat`) read Target() at

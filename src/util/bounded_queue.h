@@ -4,8 +4,7 @@
 // choice for edges with many workers per side, or edges the
 // ParallelismGovernor can retarget above one worker. Supports
 // cancellation so iterator destruction can unblock worker threads, and
-// tracks simple occupancy statistics used by the prefetch planner
-// (idleness signal).
+// counts empty pops, the prefetch planner's idleness signal.
 //
 // Besides the classic one-item Push/Pop, the queue moves whole element
 // batches per lock acquisition (PushBatch/PopBatch) — the engine's
@@ -48,20 +47,6 @@ class BoundedQueue final : public Channel<T> {
     if (cancelled_) return false;
     items_.push_back(std::move(item));
     ++total_pushed_;
-    occupancy_sum_ += items_.size();
-    ++occupancy_samples_;
-    WakeConsumers(1);
-    return true;
-  }
-
-  // Non-blocking push; returns false if full or cancelled.
-  bool TryPush(T item) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cancelled_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    ++total_pushed_;
-    occupancy_sum_ += items_.size();
-    ++occupancy_samples_;
     WakeConsumers(1);
     return true;
   }
@@ -79,15 +64,6 @@ class BoundedQueue final : public Channel<T> {
         --empty_waiters_;
       }
     }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    WakeProducers(1);
-    return item;
-  }
-
-  std::optional<T> TryPop() override {
-    std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
@@ -118,8 +94,6 @@ class BoundedQueue final : public Channel<T> {
       }
       offset += n;
       total_pushed_ += n;
-      occupancy_sum_ += items_.size();
-      ++occupancy_samples_;
       WakeConsumers(n);
     }
     return true;
@@ -180,14 +154,6 @@ class BoundedQueue final : public Channel<T> {
     return pops == 0 ? 0.0 : static_cast<double>(empty_pops_) / pops;
   }
 
-  // Mean queue occupancy observed at push time.
-  double MeanOccupancy() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return occupancy_samples_ == 0
-               ? 0.0
-               : static_cast<double>(occupancy_sum_) / occupancy_samples_;
-  }
-
  private:
   // Wake consumers for `n` newly visible items. Called under mu_.
   // `n` items can unblock at most n consumers, and there is no point
@@ -216,14 +182,6 @@ class BoundedQueue final : public Channel<T> {
   size_t empty_waiters_ = 0;
   uint64_t total_pushed_ = 0;
   uint64_t empty_pops_ = 0;
-  uint64_t occupancy_sum_ = 0;
-  uint64_t occupancy_samples_ = 0;
 };
-
-// Consumer-side batch drainer over any Channel; the historical name for
-// BatchedChannelConsumer (src/util/channel.h), kept for call sites that
-// predate the Channel split.
-template <typename T>
-using BatchedQueueConsumer = BatchedChannelConsumer<T>;
 
 }  // namespace plumber

@@ -12,9 +12,10 @@
 //     claim/publish, spin-then-park waiting. Chosen for edges the
 //     topology proves are 1:1 for their whole lifetime.
 //
-// Pipeline operators pick between them per edge at iterator
-// instantiation (see MakeEdgeChannel in src/pipeline/channels.h); the
-// conformance suite in tests/channel_test.cc runs against both.
+// Pipeline operators get their channel from the WorkerPool that runs
+// their workers, which picks one per edge at iterator instantiation
+// (see src/pipeline/worker_pool.h); the conformance suite in
+// tests/channel_test.cc runs against both.
 //
 // Blocking semantics shared by all implementations (the BoundedQueue
 // contract, unchanged): Push/PushBatch block while full and return
@@ -23,9 +24,7 @@
 // exhaustion (nullopt / 0) only when cancelled AND empty.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -40,15 +39,9 @@ class Channel {
   // Returns false if cancelled.
   virtual bool Push(T item) = 0;
 
-  // Non-blocking push; returns false if full or cancelled.
-  virtual bool TryPush(T item) = 0;
-
   // Blocks until an item is available or the channel is cancelled and
   // drained. Returns nullopt on cancellation with an empty channel.
   virtual std::optional<T> Pop() = 0;
-
-  // Non-blocking pop; nullopt when empty.
-  virtual std::optional<T> TryPop() = 0;
 
   // Pushes every item, moving whole capacity windows per synchronization
   // point instead of one element at a time. Blocks while full. Returns
@@ -72,51 +65,6 @@ class Channel {
   // Fraction of popped elements that found the channel empty first
   // (consumer stalls) — the prefetch planner's idleness signal.
   virtual double EmptyPopFraction() const = 0;
-
-  // Mean occupancy observed at push time.
-  virtual double MeanOccupancy() const = 0;
-};
-
-// Clamps an engine batch-size request to a channel's capacity (and to a
-// minimum of one element).
-inline size_t ClampBatchToCapacity(int requested, size_t capacity) {
-  return std::min(static_cast<size_t>(requested < 1 ? 1 : requested),
-                  capacity);
-}
-
-// Consumer-side batch drainer: pops whole batches off a Channel and
-// serves them one item at a time, keeping channel synchronization off
-// the per-element path. Single-consumer (the GetNext thread).
-template <typename T>
-class BatchedChannelConsumer {
- public:
-  BatchedChannelConsumer(Channel<T>* channel, size_t batch_size)
-      : channel_(channel), batch_size_(batch_size) {}
-
-  bool NeedsRefill() const { return pos_ >= local_.size(); }
-
-  // Blocks for the next batch; false when cancelled and drained.
-  bool Refill() {
-    local_.clear();
-    pos_ = 0;
-    return channel_->PopBatch(batch_size_, &local_) != 0;
-  }
-
-  // Precondition: !NeedsRefill().
-  void Take(T* out) { *out = std::move(local_[pos_++]); }
-
-  // Serves the next item; false when the channel is cancelled and empty.
-  bool Next(T* out) {
-    if (NeedsRefill() && !Refill()) return false;
-    Take(out);
-    return true;
-  }
-
- private:
-  Channel<T>* channel_;
-  const size_t batch_size_;
-  std::vector<T> local_;
-  size_t pos_ = 0;
 };
 
 }  // namespace plumber

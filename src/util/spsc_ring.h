@@ -57,15 +57,6 @@ class SpscRing final : public Channel<T> {
     return true;
   }
 
-  bool TryPush(T item) override {
-    if (cancelled_.load(std::memory_order_acquire)) return false;
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (FreeSlots(tail) == 0) return false;
-    slots_[tail & mask_] = std::move(item);
-    Publish(tail + 1, /*pushed=*/1);
-    return true;
-  }
-
   bool PushBatch(std::vector<T> items) override {
     if (items.empty()) return !cancelled();
     size_t offset = 0;
@@ -91,14 +82,6 @@ class SpscRing final : public Channel<T> {
       return std::nullopt;
     }
     if (was_empty) empty_pops_.fetch_add(1, std::memory_order_relaxed);
-    T item = std::move(slots_[head & mask_]);
-    Release(head + 1);
-    return item;
-  }
-
-  std::optional<T> TryPop() override {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (AvailableItems(head) == 0) return std::nullopt;
     T item = std::move(slots_[head & mask_]);
     Release(head + 1);
     return item;
@@ -151,15 +134,6 @@ class SpscRing final : public Channel<T> {
     const uint64_t empty = empty_pops_.load(std::memory_order_relaxed);
     const uint64_t pops = pushed + empty;
     return pops == 0 ? 0.0 : static_cast<double>(empty) / pops;
-  }
-
-  double MeanOccupancy() const override {
-    const uint64_t samples =
-        occupancy_samples_.load(std::memory_order_relaxed);
-    return samples == 0 ? 0.0
-                        : static_cast<double>(occupancy_sum_.load(
-                              std::memory_order_relaxed)) /
-                              samples;
   }
 
  private:
@@ -246,9 +220,6 @@ class SpscRing final : public Channel<T> {
   void Publish(uint64_t new_tail, size_t pushed) {
     tail_.store(new_tail, std::memory_order_seq_cst);
     total_pushed_.fetch_add(pushed, std::memory_order_relaxed);
-    occupancy_sum_.fetch_add(
-        new_tail - head_cache_, std::memory_order_relaxed);
-    occupancy_samples_.fetch_add(1, std::memory_order_relaxed);
     if (consumer_parked_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lock(wait_mu_);
       not_empty_.notify_one();
@@ -286,8 +257,6 @@ class SpscRing final : public Channel<T> {
   // interleaving does not matter).
   std::atomic<uint64_t> total_pushed_{0};
   std::atomic<uint64_t> empty_pops_{0};
-  std::atomic<uint64_t> occupancy_sum_{0};
-  std::atomic<uint64_t> occupancy_samples_{0};
 };
 
 }  // namespace plumber

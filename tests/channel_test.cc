@@ -84,21 +84,6 @@ TEST_P(ChannelConformanceTest, PopBatchReturnsAtMostMax) {
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST_P(ChannelConformanceTest, TryPushTryPopRespectBounds) {
-  auto q = Make(2);
-  const size_t cap = q->capacity();  // SPSC rounds up to a power of two
-  for (size_t i = 0; i < cap; ++i) {
-    EXPECT_TRUE(q->TryPush(static_cast<int>(i)));
-  }
-  EXPECT_FALSE(q->TryPush(99));  // full
-  for (size_t i = 0; i < cap; ++i) {
-    auto v = q->TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, static_cast<int>(i));
-  }
-  EXPECT_FALSE(q->TryPop().has_value());  // empty
-}
-
 TEST_P(ChannelConformanceTest, PopBatchBlocksUntilPush) {
   auto q = Make(4);
   std::atomic<bool> popped{false};

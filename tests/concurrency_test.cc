@@ -36,15 +36,6 @@ TEST(BoundedQueueTest, FifoOrder) {
   }
 }
 
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  q.Pop();
-  EXPECT_TRUE(q.TryPush(3));
-}
-
 TEST(BoundedQueueTest, PushBlocksUntilSpace) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.Push(1));
@@ -76,7 +67,6 @@ TEST(BoundedQueueTest, CancelledPushFails) {
   BoundedQueue<int> q(2);
   q.Cancel();
   EXPECT_FALSE(q.Push(1));
-  EXPECT_FALSE(q.TryPush(1));
 }
 
 TEST(BoundedQueueTest, MpmcStress) {
@@ -85,25 +75,24 @@ TEST(BoundedQueueTest, MpmcStress) {
   constexpr int kProducers = 4, kConsumers = 4;
   std::atomic<long> sum{0};
   std::atomic<int> consumed{0};
-  std::vector<std::thread> threads;
+  std::vector<std::thread> producers, consumers;
   for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
+    producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) q.Push(p * kPerProducer + i);
     });
   }
   for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (;;) {
-        if (consumed.load() >= kProducers * kPerProducer) return;
-        auto v = q.TryPop();
-        if (v.has_value()) {
-          sum.fetch_add(*v);
-          consumed.fetch_add(1);
-        }
+    consumers.emplace_back([&] {
+      // Blocking pops; exhaustion comes only after Cancel drains.
+      while (auto v = q.Pop()) {
+        sum.fetch_add(*v);
+        consumed.fetch_add(1);
       }
     });
   }
-  for (auto& t : threads) t.join();
+  for (auto& t : producers) t.join();
+  q.Cancel();
+  for (auto& t : consumers) t.join();
   const long n = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);

@@ -1,11 +1,18 @@
 // Failure-injection suite: the engine and the optimizer must degrade
 // with clear errors, not hangs or crashes, when the world misbehaves —
-// cancellation mid-flight, memory budgets blown by a cache, missing
-// data, malformed programs, unknown UDFs.
+// cancellation mid-flight, memory budgets blown by a cache (also
+// mid-stream beneath every parallel op), missing data, malformed
+// programs, unknown UDFs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <thread>
+#include <tuple>
 
 #include "src/core/optimizer.h"
 #include "src/core/rewriter.h"
@@ -14,6 +21,7 @@
 namespace plumber {
 namespace {
 
+using testing_util::CountOwnThreads;
 using testing_util::PipelineTestEnv;
 
 GraphDef InfiniteGraph(const std::string& udf = "noop") {
@@ -179,6 +187,154 @@ TEST(FailureInjectionTest, ZeroRecordFileIsHandled) {
   ASSERT_TRUE(iterator->GetNext(&e, &end).ok());
   EXPECT_TRUE(end);
 }
+
+// ------------------------------------------------- parallel op errors
+// Every parallel iterator runs on one WorkerPool, so a mid-stream error
+// must look the same beneath each of them: it surfaces, every later
+// GetNext returns the same error with no element, no call blocks, and
+// destroying the iterator joins every worker.
+
+constexpr int kRecordsPerFile = 100;
+constexpr uint64_t kRecordBytes = 64;
+// A cache over the reader fails on its 101st element.
+constexpr uint64_t kReaderCacheBudget = kRecordsPerFile * kRecordBytes;
+
+struct ErrorCase {
+  std::string op;
+  uint64_t memory_budget;
+  std::function<GraphDef()> build;
+};
+
+// `op` over cache(tfrecord(file_list)).
+GraphDef OverCachedReader(
+    const std::function<std::string(GraphBuilder&, const std::string&)>& op) {
+  GraphBuilder b;
+  const std::string cached =
+      b.Cache("cache", b.TfRecord("reader", b.FileList("files", "data/")));
+  return std::move(b.Build(op(b, cached))).value();
+}
+
+GraphDef ShardMergeOverCachedShard() {
+  GraphBuilder b;
+  GraphDef graph =
+      std::move(b.Build(b.TfRecord("reader", b.FileList("files", "data/"))))
+          .value();
+  const std::string merge =
+      std::move(rewriter::ShardSource(&graph, "reader", 2)).value();
+  const std::string shard0 = graph.FindNode(merge)->inputs[0];
+  EXPECT_TRUE(rewriter::InjectCache(&graph, shard0).ok());
+  return graph;
+}
+
+const std::vector<ErrorCase>& ErrorCases() {
+  static const std::vector<ErrorCase> cases = {
+      {"map", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Map("op", in, "noop", /*parallelism=*/2);
+         });
+       }},
+      // The cache holds file names ("data/f0" is 7 bytes): the second
+      // claimed file overflows it while the first is being read.
+      {"interleave", 10,
+       [] {
+         GraphBuilder b;
+         const std::string files =
+             b.Cache("cache", b.FileList("files", "data/"));
+         return std::move(b.Build(b.Interleave("op", files, 2, 2))).value();
+       }},
+      {"shard_merge", kReaderCacheBudget, ShardMergeOverCachedShard},
+      {"prefetch", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Prefetch("op", in, 4);
+         });
+       }},
+      {"map_and_batch", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.MapAndBatch("op", in, "noop", /*batch_size=*/4,
+                                /*parallelism=*/2);
+         });
+       }},
+  };
+  return cases;
+}
+
+struct ErrorOutcome {
+  Status first;
+  std::vector<Status> later;
+  int elements_after_error = 0;
+};
+
+class ParallelOpErrorTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int>> {};
+
+TEST_P(ParallelOpErrorTest, ErrorSurfacesOnceWithoutHangOrLeak) {
+  const ErrorCase& error_case = ErrorCases()[std::get<0>(GetParam())];
+  PipelineTestEnv env(4, kRecordsPerFile, kRecordBytes);
+  const int threads_before = CountOwnThreads();
+  {
+    PipelineOptions options = env.Options(error_case.memory_budget);
+    options.engine_batch_size = std::get<1>(GetParam());
+    auto pipeline =
+        std::move(Pipeline::Create(error_case.build(), options)).value();
+    auto iterator = std::move(pipeline->MakeIterator()).value();
+
+    // The calls run on a helper thread so a blocked GetNext fails this
+    // test with a message instead of hanging the suite.
+    std::promise<ErrorOutcome> promise;
+    std::future<ErrorOutcome> future = promise.get_future();
+    std::thread consumer([&] {
+      ErrorOutcome outcome;
+      Element e;
+      bool end = false;
+      for (int i = 0; i < 100000 && outcome.first.ok() && !end; ++i) {
+        outcome.first = iterator->GetNext(&e, &end);
+      }
+      for (int i = 0; i < 3; ++i) {
+        end = false;
+        outcome.later.push_back(iterator->GetNext(&e, &end));
+        if (outcome.later.back().ok() && !end) ++outcome.elements_after_error;
+      }
+      promise.set_value(std::move(outcome));
+    });
+    if (future.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      // The blocked call borrows the iterator, so it cannot be
+      // abandoned safely; stop here with the reason.
+      std::fprintf(stderr, "%s: GetNext still blocked after 30 s\n",
+                   error_case.op.c_str());
+      std::abort();
+    }
+    consumer.join();
+    const ErrorOutcome outcome = future.get();
+    EXPECT_EQ(outcome.first.code(), StatusCode::kResourceExhausted)
+        << outcome.first;
+    for (const Status& status : outcome.later) {
+      EXPECT_EQ(status.code(), outcome.first.code()) << status;
+    }
+    EXPECT_EQ(outcome.elements_after_error, 0);
+  }
+  // Iterator and pipeline destroyed: every worker is joined. A joined
+  // thread's task entry can outlive the join by a moment, so poll.
+  bool joined = false;
+  for (int i = 0; i < 500 && !joined; ++i) {
+    joined = CountOwnThreads() <= threads_before;
+    if (!joined) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(joined) << "threads before: " << threads_before
+                      << " after: " << CountOwnThreads();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, ParallelOpErrorTest,
+    ::testing::Combine(::testing::Range<size_t>(0, 5),
+                       ::testing::Values(1, 16, 64)),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, int>>& info) {
+      return ErrorCases()[std::get<0>(info.param)].op + "_batch" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace plumber

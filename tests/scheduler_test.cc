@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -20,6 +19,7 @@
 namespace plumber {
 namespace {
 
+using testing_util::CountOwnThreads;
 using testing_util::Drain;
 using testing_util::ExpectIdenticalOutput;
 using testing_util::PipelineTestEnv;
@@ -383,16 +383,6 @@ TEST(SloSchedulerTest, InteractiveJumpsTheAdmissionQueue) {
 }
 
 // ------------------------------------------- governor park/restore
-
-int CountOwnThreads() {
-  int count = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++count;
-  }
-  return count;
-}
 
 TEST(SloSchedulerTest, GovernorParkRestoreCyclesKeepIdentityAndThreads) {
   // Ten full park/restore cycles (floor 1 <-> configured 6) while a

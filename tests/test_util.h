@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -95,6 +96,18 @@ inline bool EventuallyTrue(Fn&& check, int attempts = 3) {
     if (check()) return true;
   }
   return false;
+}
+
+// Threads of this process, from /proc/self/task: tests compare it
+// before and after a pipeline's life to catch leaked workers.
+inline int CountOwnThreads() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
 }
 
 // Drains up to `limit` elements from a pipeline (0 = until end).
