@@ -9,11 +9,14 @@
 namespace plumber {
 
 Status IteratorBase::GetNext(Element* out, bool* end_of_sequence) {
+  if (!error_.ok()) return error_;
   if (ctx_->is_cancelled()) return CancelledError("pipeline cancelled");
   std::optional<CpuAccountingScope> scope;
   if (ctx_->tracing_enabled) scope.emplace(stats_);
   Status status = GetNextInternal(out, end_of_sequence);
-  if (status.ok() && !*end_of_sequence) {
+  if (!status.ok()) {
+    error_ = status;
+  } else if (!*end_of_sequence) {
     stats_->RecordProduced(out->TotalBytes());
   }
   return status;
@@ -22,13 +25,16 @@ Status IteratorBase::GetNext(Element* out, bool* end_of_sequence) {
 Status IteratorBase::GetNextBatch(std::vector<Element>* out,
                                   size_t max_elements,
                                   bool* end_of_sequence) {
+  if (!error_.ok()) return error_;
   if (ctx_->is_cancelled()) return CancelledError("pipeline cancelled");
   std::optional<CpuAccountingScope> scope;
   if (ctx_->tracing_enabled) scope.emplace(stats_);
   *end_of_sequence = false;
   const size_t before = out->size();
   Status status = GetNextBatchInternal(out, max_elements, end_of_sequence);
-  if (status.ok() && out->size() > before) {
+  if (!status.ok()) {
+    error_ = status;
+  } else if (out->size() > before) {
     uint64_t bytes = 0;
     for (size_t i = before; i < out->size(); ++i) {
       bytes += (*out)[i].TotalBytes();
@@ -54,13 +60,6 @@ Status IteratorBase::GetNextBatchInternal(std::vector<Element>* out,
   return OkStatus();
 }
 
-StorageDevice* ShardDeviceFor(const NodeDef& def, PipelineContext* ctx) {
-  if (ctx == nullptr || ctx->shard_devices == nullptr) return nullptr;
-  const int shard = static_cast<int>(def.GetInt(kAttrShardIndex, -1));
-  if (shard < 0) return nullptr;
-  return ctx->shard_devices->DeviceFor(shard);
-}
-
 bool OpSupportsParallelism(const std::string& op) {
   return op == "map" || op == "interleave" || op == "map_and_batch";
 }
@@ -84,9 +83,9 @@ StatusOr<DatasetPtr> InstantiateGraph(const GraphDef& graph,
   static const std::map<std::string, DatasetFactory> kFactories = {
       {"range", &MakeRangeDataset},
       {"file_list", &MakeFileListDataset},
-      {"tfrecord", &MakeTfRecordDataset},
-      {"remote_read", &MakeRemoteReadDataset},
-      {"interleave", &MakeInterleaveDataset},
+      {"tfrecord", &MakeRecordDataset},
+      {"remote_read", &MakeRecordDataset},
+      {"interleave", &MakeRecordDataset},
       {"map", &MakeMapDataset},
       {"filter", &MakeFilterDataset},
       {"shuffle", &MakeShuffleDataset},

@@ -23,9 +23,6 @@
 
 namespace plumber {
 
-inline constexpr int64_t kInfiniteCardinality = -1;
-inline constexpr int64_t kUnknownCardinality = -2;
-
 // Shared runtime context: filesystem, UDF registry, stats sink, machine
 // speed scaling, cancellation, and tracing control. Owned by Pipeline;
 // outlives all datasets/iterators created with it.
@@ -91,6 +88,9 @@ class IteratorBase {
 
   // Yields the next element or sets *end_of_sequence. Thread-compatible
   // (callers serialize access; parallel ops serialize child pulls).
+  // The first error an op returns is sticky: that call and every later
+  // one return it without calling into the op again, so an error
+  // surfaces exactly once and no input is consumed after it.
   Status GetNext(Element* out, bool* end_of_sequence);
 
   // Appends up to `max_elements` elements to *out in one call — one
@@ -114,6 +114,9 @@ class IteratorBase {
 
   PipelineContext* ctx_;
   IteratorStats* stats_;
+
+ private:
+  Status error_;  // first non-OK status from an *Internal call
 };
 
 class DatasetBase : public std::enable_shared_from_this<DatasetBase> {
@@ -131,10 +134,6 @@ class DatasetBase : public std::enable_shared_from_this<DatasetBase> {
 
   virtual StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const = 0;
-
-  // Statically known output cardinality; kUnknownCardinality if it
-  // cannot be derived without running.
-  virtual int64_t Cardinality() const { return kUnknownCardinality; }
 
   // Marks any partially-filled materialization as complete so later
   // iterators behave as if a full epoch had already run. This is the

@@ -3,13 +3,19 @@
 // Supported ops and their attributes:
 //   range              count:int (-1 = infinite)
 //   file_list          prefix:string (lists SimFilesystem files)
-//   tfrecord           input: file_list; sequential record reader
-//   remote_read        input: file_list; tfrecord semantics, but every
-//                      record is also charged through the remote host's
-//                      NIC (remote_nic_bandwidth/remote_nic_latency
-//                      attrs) and this host's NIC (PipelineContext::nic)
+//   tfrecord           input: file_list; reads one file at a time in
+//                      list order (interleave with cycle_length 1,
+//                      block_length 1, parallelism 1)
+//   remote_read        input: file_list; the tfrecord reader, plus every
+//                      record charged through the remote host's NIC
+//                      (remote_nic_bandwidth/remote_nic_latency attrs)
+//                      and this host's NIC (PipelineContext::nic)
 //   interleave         input: file_list; cycle_length:int, block_length:int,
 //                      parallelism:int — parallel record readers
+//                      (tfrecord, remote_read and interleave share one
+//                      per-record step and one device choice: the node's
+//                      shard stamp, else its file_list child's, else the
+//                      filesystem's device)
 //   map                input; udf:string, parallelism:int (1 = sequential),
 //                      deterministic:bool
 //   filter             input; udf:string
@@ -49,15 +55,10 @@ StatusOr<DatasetPtr> MakeRangeDataset(NodeDef def,
 StatusOr<DatasetPtr> MakeFileListDataset(NodeDef def,
                                          std::vector<DatasetPtr> inputs,
                                          PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeTfRecordDataset(NodeDef def,
-                                         std::vector<DatasetPtr> inputs,
-                                         PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeRemoteReadDataset(NodeDef def,
-                                           std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeInterleaveDataset(NodeDef def,
-                                           std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx);
+// tfrecord, remote_read and interleave (by def.op).
+StatusOr<DatasetPtr> MakeRecordDataset(NodeDef def,
+                                       std::vector<DatasetPtr> inputs,
+                                       PipelineContext* ctx);
 StatusOr<DatasetPtr> MakeMapDataset(NodeDef def,
                                     std::vector<DatasetPtr> inputs,
                                     PipelineContext* ctx);
@@ -144,11 +145,6 @@ inline constexpr char kAttrShardCount[] = "shard_count";
 // travels with the serialized program.
 inline constexpr char kAttrRemoteNicBandwidth[] = "remote_nic_bandwidth";
 inline constexpr char kAttrRemoteNicLatency[] = "remote_nic_latency";
-
-// The per-shard storage device a reader under `def` should charge, or
-// null to use the filesystem's attached device (unsharded sources, or
-// no shard pool in the context).
-StorageDevice* ShardDeviceFor(const NodeDef& def, PipelineContext* ctx);
 
 // True if the op kind supports a tunable `parallelism` attribute.
 bool OpSupportsParallelism(const std::string& op);

@@ -3,8 +3,9 @@
 //
 // One WorkerPool worker per input pulls whole engine batches from its
 // shard subtree and pushes them into the pool's channel, so N shards
-// read concurrently — each against its own modeled shard disk (see
-// ShardDeviceFor) — and their aggregate bandwidth is N x one device.
+// read concurrently — each against its own modeled shard disk (the
+// record readers' device choice, interleave_op.cc) — and their
+// aggregate bandwidth is N x one device.
 // Merge order across shards is nondeterministic, exactly like parallel
 // interleave; the element *multiset* equals the unsharded source's
 // because the shards partition the file list.
@@ -21,17 +22,6 @@ class ShardMergeDataset : public DatasetBase {
  public:
   ShardMergeDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override {
-    int64_t total = 0;
-    for (const auto& input : inputs_) {
-      const int64_t c = input->Cardinality();
-      if (c == kUnknownCardinality) return kUnknownCardinality;
-      if (c == kInfiniteCardinality) return kInfiniteCardinality;
-      total += c;
-    }
-    return total;
-  }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;

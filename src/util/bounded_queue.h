@@ -6,7 +6,7 @@
 // cancellation so iterator destruction can unblock worker threads, and
 // counts empty pops, the prefetch planner's idleness signal.
 //
-// Besides the classic one-item Push/Pop, the queue moves whole element
+// Besides the classic one-item Push, the queue moves whole element
 // batches per lock acquisition (PushBatch/PopBatch) — the engine's
 // batched execution mode, where per-element mutex traffic would
 // otherwise dominate cheap UDF work at high parallelism. Wakeups are
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/util/channel.h"
@@ -51,32 +50,12 @@ class BoundedQueue final : public Channel<T> {
     return true;
   }
 
-  // Blocks until an item is available or the queue is cancelled and
-  // drained. Returns nullopt on cancellation with an empty queue.
-  std::optional<T> Pop() override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      ++empty_pops_;
-      if (!cancelled_) {
-        BlockedRegion blocked;  // consumer stall: not CPU work
-        ++empty_waiters_;
-        not_empty_.wait(lock, [&] { return cancelled_ || !items_.empty(); });
-        --empty_waiters_;
-      }
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    WakeProducers(1);
-    return item;
-  }
-
   // Pushes every item in `items`, taking the lock once per capacity
   // window instead of once per element. Blocks while full. Returns
   // false if cancelled (remaining items are dropped, matching Push).
   bool PushBatch(std::vector<T> items) override {
-    if (items.empty()) return !cancelled();
     std::unique_lock<std::mutex> lock(mu_);
+    if (items.empty()) return !cancelled_;
     size_t offset = 0;
     while (offset < items.size()) {
       if (!cancelled_ && items_.size() >= capacity_) {
@@ -127,7 +106,7 @@ class BoundedQueue final : public Channel<T> {
   }
 
   // Unblocks all waiters; subsequent pushes fail, pops drain remaining
-  // items then return nullopt.
+  // items then return 0.
   void Cancel() override {
     std::lock_guard<std::mutex> lock(mu_);
     cancelled_ = true;
@@ -135,19 +114,10 @@ class BoundedQueue final : public Channel<T> {
     not_empty_.notify_all();
   }
 
-  bool cancelled() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cancelled_;
-  }
-
-  size_t size() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
   size_t capacity() const override { return capacity_; }
 
-  // Fraction of Pop calls that found the queue empty (consumer stalls).
+  // Fraction of popped elements that found the queue empty (consumer
+  // stalls).
   double EmptyPopFraction() const override {
     std::lock_guard<std::mutex> lock(mu_);
     const uint64_t pops = total_pushed_ + empty_pops_;

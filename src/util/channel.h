@@ -19,13 +19,12 @@
 //
 // Blocking semantics shared by all implementations (the BoundedQueue
 // contract, unchanged): Push/PushBatch block while full and return
-// false once cancelled (remaining items dropped); Pop/PopBatch block
-// while empty, drain remaining items after cancellation, and report
-// exhaustion (nullopt / 0) only when cancelled AND empty.
+// false once cancelled (remaining items dropped); PopBatch blocks while
+// empty, drains remaining items after cancellation, and reports
+// exhaustion (0) only when cancelled AND empty.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace plumber {
@@ -38,10 +37,6 @@ class Channel {
   // Blocks until space is available or the channel is cancelled.
   // Returns false if cancelled.
   virtual bool Push(T item) = 0;
-
-  // Blocks until an item is available or the channel is cancelled and
-  // drained. Returns nullopt on cancellation with an empty channel.
-  virtual std::optional<T> Pop() = 0;
 
   // Pushes every item, moving whole capacity windows per synchronization
   // point instead of one element at a time. Blocks while full. Returns
@@ -58,8 +53,6 @@ class Channel {
   // items then report exhaustion.
   virtual void Cancel() = 0;
 
-  virtual bool cancelled() const = 0;
-  virtual size_t size() const = 0;
   virtual size_t capacity() const = 0;
 
   // Fraction of popped elements that found the channel empty first

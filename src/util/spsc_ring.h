@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/util/channel.h"
@@ -58,7 +57,7 @@ class SpscRing final : public Channel<T> {
   }
 
   bool PushBatch(std::vector<T> items) override {
-    if (items.empty()) return !cancelled();
+    if (items.empty()) return !cancelled_.load(std::memory_order_acquire);
     size_t offset = 0;
     while (offset < items.size()) {
       const uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -72,19 +71,6 @@ class SpscRing final : public Channel<T> {
       Publish(tail + n, /*pushed=*/n);
     }
     return true;
-  }
-
-  std::optional<T> Pop() override {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    const bool was_empty = AvailableItems(head) == 0;
-    if (!WaitForItems(head)) {
-      empty_pops_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    if (was_empty) empty_pops_.fetch_add(1, std::memory_order_relaxed);
-    T item = std::move(slots_[head & mask_]);
-    Release(head + 1);
-    return item;
   }
 
   size_t PopBatch(size_t max_items, std::vector<T>* out) override {
@@ -115,16 +101,6 @@ class SpscRing final : public Channel<T> {
     std::lock_guard<std::mutex> lock(wait_mu_);
     not_empty_.notify_all();
     not_full_.notify_all();
-  }
-
-  bool cancelled() const override {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
-  size_t size() const override {
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    const uint64_t tail = tail_.load(std::memory_order_acquire);
-    return static_cast<size_t>(tail - head);
   }
 
   size_t capacity() const override { return capacity_; }

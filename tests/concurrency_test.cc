@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "src/util/bounded_queue.h"
 #include "src/util/parallel_for.h"
@@ -30,9 +31,9 @@ TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> q(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.Push(i));
   for (int i = 0; i < 4; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
+    std::vector<int> out;
+    ASSERT_EQ(q.PopBatch(1, &out), 1u);
+    EXPECT_EQ(out[0], i);
   }
 }
 
@@ -46,7 +47,8 @@ TEST(BoundedQueueTest, PushBlocksUntilSpace) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
-  q.Pop();
+  std::vector<int> out;
+  q.PopBatch(1, &out);
   t.join();
   EXPECT_TRUE(pushed.load());
 }
@@ -58,9 +60,10 @@ TEST(BoundedQueueTest, CancelUnblocksProducerAndConsumer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Cancel();
   producer.join();
-  // Drains remaining item, then nullopt.
-  EXPECT_TRUE(q.Pop().has_value());
-  EXPECT_FALSE(q.Pop().has_value());
+  // Drains remaining item, then reports exhaustion.
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(1, &out), 1u);
+  EXPECT_EQ(q.PopBatch(1, &out), 0u);
 }
 
 TEST(BoundedQueueTest, CancelledPushFails) {
@@ -84,8 +87,9 @@ TEST(BoundedQueueTest, MpmcStress) {
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
       // Blocking pops; exhaustion comes only after Cancel drains.
-      while (auto v = q.Pop()) {
-        sum.fetch_add(*v);
+      std::vector<int> out;
+      while (q.PopBatch(1, &out) == 1) {
+        sum.fetch_add(out.back());
         consumed.fetch_add(1);
       }
     });
@@ -101,7 +105,8 @@ TEST(BoundedQueueTest, MpmcStress) {
 TEST(BoundedQueueTest, EmptyPopFractionTracksStalls) {
   BoundedQueue<int> q(4);
   q.Push(1);
-  q.Pop();  // not empty at pop time
+  std::vector<int> out;
+  q.PopBatch(1, &out);  // not empty at pop time
   EXPECT_EQ(q.EmptyPopFraction(), 0.0);
 }
 

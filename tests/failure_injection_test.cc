@@ -1,7 +1,7 @@
 // Failure-injection suite: the engine and the optimizer must degrade
 // with clear errors, not hangs or crashes, when the world misbehaves —
 // cancellation mid-flight, memory budgets blown by a cache (also
-// mid-stream beneath every parallel op), missing data, malformed
+// mid-stream beneath every op), missing data, malformed
 // programs, unknown UDFs.
 #include <gtest/gtest.h>
 
@@ -188,16 +188,20 @@ TEST(FailureInjectionTest, ZeroRecordFileIsHandled) {
   EXPECT_TRUE(end);
 }
 
-// ------------------------------------------------- parallel op errors
-// Every parallel iterator runs on one WorkerPool, so a mid-stream error
-// must look the same beneath each of them: it surfaces, every later
-// GetNext returns the same error with no element, no call blocks, and
-// destroying the iterator joins every worker.
+// ---------------------------------------------------------- op errors
+// A mid-stream error must look the same beneath every op, parallel or
+// sequential: it surfaces, every later GetNext returns the same error
+// with no element, no call blocks, and destroying the iterator joins
+// every worker. The parallel ops share the WorkerPool's error contract;
+// the sequential ones get it from IteratorBase.
 
 constexpr int kRecordsPerFile = 100;
 constexpr uint64_t kRecordBytes = 64;
 // A cache over the reader fails on its 101st element.
 constexpr uint64_t kReaderCacheBudget = kRecordsPerFile * kRecordBytes;
+// More later calls than the reader has records left: an op that keeps
+// pulling after the error runs its input dry within them.
+constexpr int kLaterCalls = 4 * kRecordsPerFile;
 
 struct ErrorCase {
   std::string op;
@@ -257,6 +261,60 @@ const std::vector<ErrorCase>& ErrorCases() {
                                 /*parallelism=*/2);
          });
        }},
+      {"sequential_map", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Map("op", in, "noop", /*parallelism=*/1);
+         });
+       }},
+      {"batch", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Batch("op", in, 4, /*drop_remainder=*/false);
+         });
+       }},
+      {"shuffle", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Shuffle("op", in, 8);
+         });
+       }},
+      {"shuffle_and_repeat", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.ShuffleAndRepeat("op", in, 8, /*count=*/2);
+         });
+       }},
+      {"filter", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Filter("op", in, "keep_all");
+         });
+       }},
+      {"repeat", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Repeat("op", in, /*count=*/2);
+         });
+       }},
+      {"take", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Take("op", in, 1000);
+         });
+       }},
+      {"zip", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Zip("op", {in, b.Range("numbers", -1)});
+         });
+       }},
+      {"concatenate", kReaderCacheBudget,
+       [] {
+         return OverCachedReader([](GraphBuilder& b, const std::string& in) {
+           return b.Concatenate("op", {in, b.Range("numbers", 10)});
+         });
+       }},
   };
   return cases;
 }
@@ -292,7 +350,7 @@ TEST_P(ParallelOpErrorTest, ErrorSurfacesOnceWithoutHangOrLeak) {
       for (int i = 0; i < 100000 && outcome.first.ok() && !end; ++i) {
         outcome.first = iterator->GetNext(&e, &end);
       }
-      for (int i = 0; i < 3; ++i) {
+      for (int i = 0; i < kLaterCalls; ++i) {
         end = false;
         outcome.later.push_back(iterator->GetNext(&e, &end));
         if (outcome.later.back().ok() && !end) ++outcome.elements_after_error;
@@ -329,7 +387,7 @@ TEST_P(ParallelOpErrorTest, ErrorSurfacesOnceWithoutHangOrLeak) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOps, ParallelOpErrorTest,
-    ::testing::Combine(::testing::Range<size_t>(0, 5),
+    ::testing::Combine(::testing::Range<size_t>(0, ErrorCases().size()),
                        ::testing::Values(1, 16, 64)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, int>>& info) {
       return ErrorCases()[std::get<0>(info.param)].op + "_batch" +

@@ -4,7 +4,10 @@
 // the Session::AttachNic wiring (runs and optimizer traces).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/api/session.h"
@@ -145,6 +148,122 @@ TEST(RemoteReadTest, SessionNicMetersOptimizerTraces) {
   ASSERT_TRUE(optimized.ok()) << optimized.status();
   EXPECT_GT(session.nic()->total_bytes(), 0u);
 }
+
+
+// ------------------------------------------------- record reader identity
+// tfrecord, a one-file sequential interleave and remote_read all read
+// one record file at a time in file-list order. Over the same file list
+// they must yield the same element bytes and sequence numbers and
+// charge the same bytes to the node, the storage device and the
+// filesystem read log, at every engine batch size and whether or not
+// the file_list carries a shard stamp.
+
+struct ReaderRun {
+  std::vector<Element> elements;
+  IteratorStatsSnapshot reader;
+  uint64_t device_bytes = 0;
+  uint64_t device_reads = 0;
+  uint64_t primary_bytes = 0;
+  std::map<std::string, FileReadEntry> read_log;
+};
+
+constexpr int kIdentityFiles = 4;
+
+ReaderRun RunReader(const std::string& op, int engine_batch, bool stamped) {
+  PipelineTestEnv env(kIdentityFiles, kRecordsPerFile, kRecordBytes);
+  StorageDevice primary(DeviceSpec::Unlimited());
+  env.fs.set_device(&primary);
+  GraphBuilder b;
+  const std::string files = b.FileList("files", "data/");
+  std::string reader;
+  if (op == "tfrecord") {
+    reader = b.TfRecord("rec", files);
+  } else if (op == "interleave") {
+    reader = b.Interleave("rec", files, /*cycle_length=*/1,
+                          /*parallelism=*/1);
+  } else {
+    reader = b.RemoteRead("rec", files);
+  }
+  GraphDef graph = std::move(b.Build(reader)).value();
+  if (stamped) {
+    // Shard 1 of 2 keeps every other file and reads from its own disk.
+    NodeDef* list = graph.MutableNode("files");
+    list->attrs[kAttrShardIndex] = AttrValue(1);
+    list->attrs[kAttrShardCount] = AttrValue(2);
+  }
+  PipelineOptions options = env.Options();
+  options.engine_batch_size = engine_batch;
+  auto pipeline = std::move(Pipeline::Create(std::move(graph), options)).value();
+  auto iterator = std::move(pipeline->MakeIterator()).value();
+  ReaderRun run;
+  bool end = false;
+  while (!end) {
+    const Status status = iterator->GetNextBatch(
+        &run.elements, static_cast<size_t>(engine_batch), &end);
+    EXPECT_TRUE(status.ok()) << status;
+    if (!status.ok()) break;
+  }
+  for (const auto& snapshot : pipeline->stats().Snapshot()) {
+    if (snapshot.name == "rec") run.reader = snapshot;
+  }
+  StorageDevice* device =
+      stamped ? pipeline->context()->shard_devices->DeviceFor(1) : &primary;
+  run.device_bytes = device->total_bytes_read();
+  run.device_reads = device->total_reads();
+  run.primary_bytes = primary.total_bytes_read();
+  run.read_log = env.fs.SnapshotReadLog();
+  return run;
+}
+
+class RecordReaderIdentityTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(RecordReaderIdentityTest, SameElementsAndCharges) {
+  const auto [engine_batch, stamped] = GetParam();
+  const ReaderRun tfrecord = RunReader("tfrecord", engine_batch, stamped);
+  const size_t files = stamped ? kIdentityFiles / 2 : kIdentityFiles;
+  ASSERT_EQ(tfrecord.elements.size(), files * kRecordsPerFile);
+  EXPECT_EQ(tfrecord.reader.bytes_read,
+            tfrecord.elements.size() * (kRecordBytes + kRecordFramingBytes));
+  EXPECT_EQ(tfrecord.device_bytes, tfrecord.reader.bytes_read);
+  EXPECT_EQ(tfrecord.read_log.size(), files);
+  if (stamped) EXPECT_EQ(tfrecord.primary_bytes, 0u);
+
+  for (const std::string op : {"interleave", "remote_read"}) {
+    SCOPED_TRACE(op);
+    const ReaderRun other = RunReader(op, engine_batch, stamped);
+    ExpectIdenticalOutput(tfrecord.elements, other.elements);
+    ASSERT_EQ(other.elements.size(), tfrecord.elements.size());
+    for (size_t i = 0; i < other.elements.size(); ++i) {
+      EXPECT_EQ(other.elements[i].sequence, tfrecord.elements[i].sequence)
+          << "elem " << i;
+    }
+    EXPECT_EQ(other.reader.bytes_read, tfrecord.reader.bytes_read);
+    EXPECT_EQ(other.reader.elements_produced,
+              tfrecord.reader.elements_produced);
+    EXPECT_EQ(other.reader.elements_consumed,
+              tfrecord.reader.elements_consumed);
+    EXPECT_EQ(other.device_bytes, tfrecord.device_bytes);
+    EXPECT_EQ(other.device_reads, tfrecord.device_reads);
+    EXPECT_EQ(other.primary_bytes, tfrecord.primary_bytes);
+    ASSERT_EQ(other.read_log.size(), tfrecord.read_log.size());
+    for (const auto& [name, entry] : tfrecord.read_log) {
+      const auto it = other.read_log.find(name);
+      ASSERT_NE(it, other.read_log.end()) << name;
+      EXPECT_EQ(it->second.bytes_read, entry.bytes_read) << name;
+      EXPECT_EQ(it->second.file_size, entry.file_size) << name;
+      EXPECT_EQ(it->second.fully_read, entry.fully_read) << name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineBatchAndShardStamp, RecordReaderIdentityTest,
+    ::testing::Combine(::testing::Values(1, 16, 64), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return "batch" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_stamped" : "");
+    });
 
 }  // namespace
 }  // namespace plumber
